@@ -7,18 +7,17 @@ branches reach the same certificate prune sibling branches, which keeps
 highly symmetric graphs (stars, complete bipartite pieces) cheap.
 
 Hot paths work on raw adjacency bitmask rows; ``Graph`` objects only appear
-at the public wrappers. For graphs up to 8 vertices an exhaustive minimum
-over all permutations is available as an independent cross-check.
+at the public wrappers. The tests cross-check the isomorphism relation and
+automorphism counts against networkx's VF2 matcher, which shares no code
+with this module.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import ScaleError
 from .graph6 import encode_rows
-from .graphs import Graph
+from .graphs import Graph, bit_indices, dsu_find, relabel_rows
 
 _MAX_STORED_AUTOS = 3000
 
@@ -29,19 +28,6 @@ class CanonicalForm:
 
     graph6: str
     aut_order: int | None = None
-
-
-def _rows_to_nbrs(n: int, rows) -> list[list[int]]:
-    nbrs = []
-    for v in range(n):
-        mask = rows[v]
-        cur = []
-        while mask:
-            low = mask & -mask
-            cur.append(low.bit_length() - 1)
-            mask ^= low
-        nbrs.append(cur)
-    return nbrs
 
 
 def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
@@ -82,35 +68,6 @@ def _first_nonsingleton_cell(colors: list[int]) -> list[int] | None:
     return [v for v, c in enumerate(colors) if c == target]
 
 
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _leaf_cert(nbrs, n, colors):
-    pos = [0] * n
-    for v, c in enumerate(colors):
-        pos[v] = c
-    rows = [0] * n
-    for v in range(n):
-        m = 0
-        for u in nbrs[v]:
-            m |= 1 << pos[u]
-        rows[pos[v]] = m
-    return tuple(rows), tuple(pos)
-
-
 def _compose_auto(pi1, pi2, n):
     """Automorphism sending v to pi2^-1(pi1(v)) for two equal-certificate leaves."""
     inv2 = [0] * n
@@ -139,7 +96,8 @@ def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
         colors = _refine(nbrs, n, colors)
         cell = _first_nonsingleton_cell(colors)
         if cell is None:
-            cert, perm = _leaf_cert(nbrs, n, colors)
+            # a discrete colouring is a permutation: vertex v goes to colors[v]
+            cert, perm = relabel_rows(nbrs, colors), tuple(colors)
             if first[0] is None:
                 first[0], first[1] = cert, perm
             elif cert == first[0] and perm != first[1]:
@@ -152,7 +110,7 @@ def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
         explored: list[int] = []
         for v in cell:
             if explored and autos:
-                dsu = _DSU(n)
+                parent = list(range(n))
                 for sigma in autos:
                     applies = True
                     for b in base:
@@ -161,9 +119,11 @@ def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
                             break
                     if applies:
                         for u in range(n):
-                            dsu.union(u, sigma[u])
-                rv = dsu.find(v)
-                if any(dsu.find(u) == rv for u in explored):
+                            ru, rs = dsu_find(parent, u), dsu_find(parent, sigma[u])
+                            if ru != rs:
+                                parent[ru] = rs
+                rv = dsu_find(parent, v)
+                if any(dsu_find(parent, u) == rv for u in explored):
                     continue
             explored.append(v)
             base.append(v)
@@ -178,7 +138,7 @@ def canonical_rows(n: int, rows) -> tuple[int, ...]:
     """Adjacency rows of the canonical image; raw-row fast path."""
     if n == 1:
         return (0,)
-    nbrs = _rows_to_nbrs(n, rows)
+    nbrs = [bit_indices(row) for row in rows]
     cert, _, _ = _canonical_search(nbrs, n, [0] * n)
     return cert
 
@@ -189,7 +149,7 @@ def canonical_g6(n: int, rows) -> str:
 
 def canonicalize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Canonical image of ``g`` and the relabelling that produces it."""
-    nbrs = _rows_to_nbrs(g.n, g.adj)
+    nbrs = [bit_indices(row) for row in g.adj]
     cert, perm, _ = _canonical_search(nbrs, g.n, [0] * g.n)
     return Graph(g.n, cert, g.e), perm
 
@@ -202,7 +162,7 @@ def canonical_label(g: Graph, *, with_aut_order: bool = False) -> CanonicalForm:
 
 def aut_order(g: Graph) -> int:
     """Exact automorphism-group order via orbit-stabilizer along a base."""
-    nbrs = _rows_to_nbrs(g.n, g.adj)
+    nbrs = [bit_indices(row) for row in g.adj]
     n = g.n
     colors = [0] * n
     order = 1
@@ -223,40 +183,3 @@ def aut_order(g: Graph) -> int:
         )
         order *= orbit
         colors = _individualize(colors, v0)
-
-
-def exhaustive_canonical(g: Graph) -> str:
-    """Minimum certificate over all n! permutations (n <= 8).
-
-    A second, independent canonical form: its representatives differ from the
-    refinement-based ones, but it induces the same isomorphism relation, which
-    is what the cross-checks compare.
-    """
-    if g.n > 8:
-        raise ScaleError("exhaustive canonical labelling supported only for n <= 8")
-    best_rows = None
-    for perm in itertools.permutations(range(g.n)):
-        rows = [0] * g.n
-        for v in range(g.n):
-            m = 0
-            for u in g.neighbors(v):
-                m |= 1 << perm[u]
-            rows[perm[v]] = m
-        rows = tuple(rows)
-        if best_rows is None or rows < best_rows:
-            best_rows = rows
-    return encode_rows(g.n, best_rows)
-
-
-def exhaustive_aut_order(g: Graph) -> int:
-    """Count automorphisms by brute force (n <= 8); test oracle."""
-    if g.n > 8:
-        raise ScaleError("exhaustive automorphism count supported only for n <= 8")
-    count = 0
-    for perm in itertools.permutations(range(g.n)):
-        if all(
-            g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
-            for u, v in itertools.combinations(range(g.n), 2)
-        ):
-            count += 1
-    return count

@@ -11,9 +11,9 @@ Two independent generation strategies back every census:
   time, deduplicating each level by canonical form from the refinement-based
   labeller. Shares no isomorphism machinery with the orderly path.
 
-A third ``filter`` strategy (all edge subsets, connected filter, canonical
-dedup) is exhaustive-but-slow and limited to n <= 8; it cross-validates the
-other two at small orders.
+The tests also match every class with n <= 7 one-to-one against the connected
+graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
+its VF2 isomorphism test.
 
 Census members are canonical graph6 strings, sorted, so cache files diff
 cleanly and reports are stable.
@@ -30,7 +30,7 @@ from pathlib import Path
 from .canon import canonical_g6, canonical_rows
 from .errors import CacheMissError, CorruptCacheError, ScaleError
 from .graph6 import graph6_decode
-from .graphs import Graph
+from .graphs import Graph, dsu_find
 
 GENERATOR_VERSION = "graphenergy-census/1"
 
@@ -107,13 +107,6 @@ def _is_max_code(rows: list[int], n: int) -> bool:
     return walk(0, 0)
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _generate_orderly(n: int, e: int) -> list[Graph]:
     """Connected (n,e)-graphs via max-code orderly edge augmentation."""
     if n == 1:
@@ -134,7 +127,7 @@ def _generate_orderly(n: int, e: int) -> list[Graph]:
             if total_pairs - p < need:
                 break
             i, j = pairs[p]
-            ri, rj = _find(parent, i), _find(parent, j)
+            ri, rj = dsu_find(parent, i), dsu_find(parent, j)
             new_comps = comps - (ri != rj)
             # every remaining edge can join at most two components
             if new_comps - 1 > need - 1:
@@ -187,44 +180,9 @@ def _generate_vertex_aug(n: int, e: int) -> list[Graph]:
     return [Graph(n, rows, e) for rows in sorted(level)]
 
 
-def _generate_filter(n: int, e: int) -> list[Graph]:
-    """All connected (n,e)-graphs by brute-force subset filtering (n <= 8)."""
-    if n > 8:
-        raise ScaleError("generate-and-filter supported only for n <= 8")
-    if n == 1:
-        return [Graph(1, (0,), 0)] if e == 0 else []
-    pairs = _pair_order(n)
-    if e > len(pairs) or e < n - 1:
-        return []
-    seen: set[tuple[int, ...]] = set()
-    full = (1 << n) - 1
-    for combo in itertools.combinations(pairs, e):
-        rows = [0] * n
-        for i, j in combo:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        # bitset BFS connectivity
-        comp = 1
-        frontier = 1
-        while frontier:
-            grow = 0
-            v_mask = frontier
-            while v_mask:
-                low = v_mask & -v_mask
-                grow |= rows[low.bit_length() - 1]
-                v_mask ^= low
-            frontier = grow & ~comp
-            comp |= grow
-        if comp != full:
-            continue
-        seen.add(canonical_rows(n, rows))
-    return [Graph(n, rows, e) for rows in sorted(seen)]
-
-
 _STRATEGIES = {
     "edge": _generate_orderly,
     "vertex": _generate_vertex_aug,
-    "filter": _generate_filter,
 }
 
 

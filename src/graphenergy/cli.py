@@ -49,12 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="absolute tolerance for the contour-integral energy (default 1e-7)",
     )
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker hint; results are identical for any value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_energy = sub.add_parser("energy", help="per-graph spectral report")

@@ -18,7 +18,7 @@ class NotAnEdgeError(GraphEnergyError, ValueError):
 
 
 class SizeOverflowError(GraphEnergyError, ValueError):
-    """A construction would exceed the 32-vertex representation limit."""
+    """A construction would exceed the 62-vertex representation limit."""
 
 
 class Graph6ParseError(GraphEnergyError, ValueError):

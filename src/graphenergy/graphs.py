@@ -24,6 +24,38 @@ MAX_VERTICES = 62
 Edge = tuple[int, int]
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def relabel_rows(nbrs, perm) -> tuple[int, ...]:
+    """Bitset rows of the image under ``perm`` of a graph given by neighbour lists.
+
+    Old vertex v becomes ``perm[v]``.
+    """
+    rows = [0] * len(nbrs)
+    for v, nb in enumerate(nbrs):
+        m = 0
+        for u in nb:
+            m |= 1 << perm[u]
+        rows[perm[v]] = m
+    return tuple(rows)
+
+
+def dsu_find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find ``parent`` list, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
@@ -55,16 +87,9 @@ class Graph:
         elif self.e != deg_sum // 2:
             raise ValueError("cached edge count disagrees with adjacency")
         for v in range(self.n):
-            for u in self._iter_bits(self.adj[v]):
+            for u in bit_indices(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError("adjacency relation is not symmetric")
-
-    @staticmethod
-    def _iter_bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -85,7 +110,7 @@ class Graph:
         return [
             (u, v)
             for u in range(self.n)
-            for v in self._iter_bits(self.adj[u] >> (u + 1) << (u + 1))
+            for v in bit_indices(self.adj[u] >> (u + 1) << (u + 1))
         ]
 
     def degree(self, v: int) -> int:
@@ -98,7 +123,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        return list(self._iter_bits(self.adj[v]))
+        return bit_indices(self.adj[v])
 
     def component_masks(self) -> list[int]:
         """Connected components as vertex bitsets, ordered by smallest member."""
@@ -111,7 +136,7 @@ class Graph:
             frontier = start
             while frontier:
                 grow = 0
-                for v in self._iter_bits(frontier):
+                for v in bit_indices(frontier):
                     grow |= self.adj[v]
                 frontier = grow & ~comp
                 comp |= grow
@@ -127,13 +152,8 @@ class Graph:
 
     def relabeled(self, perm) -> "Graph":
         """Image under ``perm``: old vertex v becomes ``perm[v]``."""
-        rows = [0] * self.n
-        for v in range(self.n):
-            m = 0
-            for u in self._iter_bits(self.adj[v]):
-                m |= 1 << perm[u]
-            rows[perm[v]] = m
-        return Graph(self.n, tuple(rows), self.e)
+        nbrs = [bit_indices(row) for row in self.adj]
+        return Graph(self.n, relabel_rows(nbrs, perm), self.e)
 
     def adjacency_matrix(self):
         import numpy as np

@@ -148,7 +148,7 @@ def _expect_rank(report: RankReport, index: int, family: str) -> dict:
 
 
 def _theorem_check(name: str, claims, cache_dir=None) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     evidence = []
     for n, e, rank_expect in claims:
         report = rank_class(n, e, cache_dir)
@@ -163,7 +163,7 @@ def _theorem_check(name: str, claims, cache_dir=None) -> CheckResult:
         }
     )
     passed = all(row["ok"] for row in evidence)
-    return CheckResult(name, passed, evidence, time.time() - t0)
+    return CheckResult(name, passed, evidence, time.perf_counter() - t0)
 
 
 def check_theorem_bicyclic(cache_dir=None) -> CheckResult:
@@ -230,7 +230,7 @@ def default_inequality_range() -> list[int]:
 
 def check_family_inequalities(n_values=None) -> CheckResult:
     """Numeric verification of the pairwise family-energy inequalities."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ns = sorted(n_values) if n_values else default_inequality_range()
     ev: list[dict] = []
 
@@ -317,12 +317,12 @@ def check_family_inequalities(n_values=None) -> CheckResult:
           "E(S(4,4))", energy(make_s_graph(4, 4)))
 
     passed = all(row["ok"] for row in ev)
-    return CheckResult("family-inequalities", passed, ev, time.time() - t0)
+    return CheckResult("family-inequalities", passed, ev, time.perf_counter() - t0)
 
 
 def check_closed_forms(n_values=range(6, 13)) -> CheckResult:
     """Exact agreement of computed polynomials with the reference closed forms."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ev = []
     for n in n_values:
         for e_off in (0, 2, 3):
@@ -351,7 +351,7 @@ def check_closed_forms(n_values=range(6, 13)) -> CheckResult:
             }
         )
     passed = all(row["ok"] for row in ev)
-    return CheckResult("closed-forms", passed, ev, time.time() - t0)
+    return CheckResult("closed-forms", passed, ev, time.perf_counter() - t0)
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -363,7 +363,7 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 def check_edge_cut_lemma(trials: int = 500, seed: int = 1729) -> CheckResult:
     """Energy never increases when an edge cut is deleted; seeded trials."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     ev = []
     violations = 0
@@ -426,12 +426,12 @@ def check_edge_cut_lemma(trials: int = 500, seed: int = 1729) -> CheckResult:
             "ok": violations == 0,
         }
     )
-    return CheckResult("edge-cut", violations == 0, ev, time.time() - t0)
+    return CheckResult("edge-cut", violations == 0, ev, time.perf_counter() - t0)
 
 
 def check_census_counts(include_derived: bool = True) -> CheckResult:
     """Reference class counts, plus two-strategy agreement on the derived ones."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ev = []
     for (n, e), want in sorted(KNOWN_CLASS_COUNTS.items()):
         got = len(enumerate_connected(n, e))
@@ -457,7 +457,7 @@ def check_census_counts(include_derived: bool = True) -> CheckResult:
                 }
             )
     passed = all(row["ok"] for row in ev)
-    return CheckResult("census", passed, ev, time.time() - t0)
+    return CheckResult("census", passed, ev, time.perf_counter() - t0)
 
 
 # Vertex-disjoint class-2 counts per bicyclic census, frozen from enumeration,
@@ -474,7 +474,7 @@ CLASS_SPLIT_EXPECTED = {
 
 def check_class_split(cache_dir=None) -> CheckResult:
     """Class-1/class-2 split of bicyclic censuses under both disjointness readings."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ev = []
     for (n, e), want in sorted(CLASS_SPLIT_EXPECTED.items()):
         census = get_census(n, e, cache_dir)
@@ -521,12 +521,12 @@ def check_class_split(cache_dir=None) -> CheckResult:
             }
         )
     passed = all(row["ok"] for row in ev)
-    return CheckResult("class-split", passed, ev, time.time() - t0)
+    return CheckResult("class-split", passed, ev, time.perf_counter() - t0)
 
 
 def check_dual_energy(classes=((4, 4), (5, 6), (6, 8), (7, 10)), tol=1e-6) -> CheckResult:
     """Eigenvalue energy versus contour-integral energy over whole censuses."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ev = []
     worst = 0.0
     for n, e in classes:
@@ -553,7 +553,7 @@ def check_dual_energy(classes=((4, 4), (5, 6), (6, 8), (7, 10)), tol=1e-6) -> Ch
         )
     ev.append({"item": "summary", "worst_difference": worst, "tolerance": tol, "ok": worst <= tol})
     passed = all(row["ok"] for row in ev)
-    return CheckResult("dual-energy", passed, ev, time.time() - t0)
+    return CheckResult("dual-energy", passed, ev, time.perf_counter() - t0)
 
 
 CHECKS = {

@@ -19,9 +19,7 @@ from graphenergy import (
     make_s_graph,
     make_star,
 )
-from graphenergy.canon import exhaustive_aut_order, exhaustive_canonical
 from graphenergy.census import enumerate_connected
-from graphenergy.errors import ScaleError
 
 from test_graphs import graph_strategy
 
@@ -67,9 +65,9 @@ def test_idempotent_on_canonical_image():
 
 
 def test_relation_agrees_with_exhaustive_form():
-    # the exhaustive n!-minimum is an independent canonical form; the two
-    # must induce the same isomorphism relation even though representatives
-    # differ
+    # networkx's VF2 matcher shares no code with the refinement labeller; the
+    # two must induce the same isomorphism relation
+    nx = pytest.importorskip("networkx")
     rng = random.Random(11)
     graphs = []
     for _ in range(30):
@@ -79,8 +77,11 @@ def test_relation_agrees_with_exhaustive_form():
         )
     for g, h in itertools.combinations(graphs, 2):
         ir_equal = canonical_label(g).graph6 == canonical_label(h).graph6
-        ex_equal = exhaustive_canonical(g) == exhaustive_canonical(h)
-        assert ir_equal == ex_equal
+        vf2_equal = nx.is_isomorphic(
+            nx.from_numpy_array(g.adjacency_matrix()),
+            nx.from_numpy_array(h.adjacency_matrix()),
+        )
+        assert ir_equal == vf2_equal
 
 
 def test_distinct_forms_for_the_two_4_4_graphs():
@@ -118,24 +119,21 @@ class TestAutOrder:
         assert aut_order(g) == order
 
     def test_against_brute_force(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
         rng = random.Random(21)
         for _ in range(100):
             n = rng.randint(2, 7)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-            assert aut_order(g) == exhaustive_aut_order(g)
+            h = nx.from_numpy_array(g.adjacency_matrix())
+            assert aut_order(g) == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
 
     def test_via_canonical_label_flag(self):
         form = canonical_label(make_complete(4), with_aut_order=True)
         assert form.aut_order == 24
         assert canonical_label(make_complete(4)).aut_order is None
-
-
-def test_exhaustive_fallback_scale_guard():
-    with pytest.raises(ScaleError):
-        exhaustive_canonical(make_star(9))
-    with pytest.raises(ScaleError):
-        exhaustive_aut_order(make_star(9))
 
 
 def test_aut_order_of_component_wreath():

@@ -13,7 +13,6 @@ from graphenergy import (
 )
 from graphenergy.census import (
     GENERATOR_VERSION,
-    _generate_filter,
     _generate_orderly,
     _generate_vertex_aug,
 )
@@ -53,23 +52,49 @@ def test_strategies_agree_through_n6():
             edge = enumerate_connected(n, e).graphs
             vertex = enumerate_connected(n, e, strategy="vertex").graphs
             assert edge == vertex, (n, e)
-            if n <= 6:
-                filt = enumerate_connected(n, e, strategy="filter").graphs
-                assert edge == filt, (n, e)
 
 
 def test_strategies_agree_at_n7():
-    for e in (6, 7, 8):
+    for e in range(6, 11):
         edge = enumerate_connected(7, e).graphs
-        assert edge == enumerate_connected(7, e, strategy="vertex").graphs
-        assert edge == enumerate_connected(7, e, strategy="filter").graphs
+        assert edge == enumerate_connected(7, e, strategy="vertex").graphs, e
 
 
-def test_filter_agrees_on_densest_n7_classes():
-    # the slow half of the n <= 7 cross-validation; roughly 650k edge subsets
-    for e in (9, 10):
-        edge = enumerate_connected(7, e).graphs
-        assert edge == enumerate_connected(7, e, strategy="filter").graphs
+def test_census_matches_graph_atlas():
+    # "An Atlas of Graphs" (Read & Wilson) lists every graph on <= 7 vertices
+    # and networkx's VF2 matcher shares no code with graphenergy.canon: each
+    # connected atlas graph must match exactly one census member and each
+    # member exactly one atlas graph
+    nx = pytest.importorskip("networkx")
+
+    def degrees(h):
+        return tuple(sorted(d for _, d in h.degree()))
+
+    atlas: dict[tuple[int, int], list] = {}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() and nx.is_connected(h):
+            atlas.setdefault((h.number_of_nodes(), h.number_of_edges()), []).append(h)
+    classes = [(n, e) for n in range(1, 8) for e in range(n - 1, n + 4)]
+    assert len(classes) == 35
+    assert sum(len(atlas.get(key, [])) for key in classes) == 459
+    for n, e in classes:
+        members = [
+            nx.from_numpy_array(g.adjacency_matrix())
+            for g in enumerate_connected(n, e).members()
+        ]
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for i, h in enumerate(members):
+            buckets.setdefault(degrees(h), []).append(i)
+        hits = [0] * len(members)
+        for h in atlas.get((n, e), []):
+            found = [
+                i
+                for i in buckets.get(degrees(h), [])
+                if nx.is_isomorphic(h, members[i])
+            ]
+            assert len(found) == 1, (n, e, sorted(h.edges()), found)
+            hits[found[0]] += 1
+        assert hits == [1] * len(members), (n, e, hits)
 
 
 def test_trivial_and_empty_classes():
@@ -88,10 +113,12 @@ def test_envelope_errors_fail_loudly():
         enumerate_connected(0, 0)
     with pytest.raises(ValueError):
         enumerate_connected(5, 5, strategy="psychic")
+    with pytest.raises(ValueError):
+        enumerate_connected(5, 5, strategy="filter")
 
 
 def test_generators_return_exact_parameters():
-    for gen in (_generate_orderly, _generate_vertex_aug, _generate_filter):
+    for gen in (_generate_orderly, _generate_vertex_aug):
         for g in gen(5, 6):
             assert (g.n, g.e) == (5, 6)
             assert g.is_connected()
