@@ -22,7 +22,7 @@ from .errors import (
 from .graph6 import graph6_decode
 from .graphs import Graph, family_graph
 from .spectral import b_coeffs, char_poly, eigenvalues, energy_coulson
-from .verify import CHECKS, rank_class, render_json, render_text, run_checks
+from .verify import CHECKS, ENERGY_TIE_TOL, rank_class, render_json, render_text, run_checks
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _graph_report(label: str, g: Graph, quad_tol: float) -> dict:
     p = char_poly(g)
-    spec = eigenvalues(g)
+    spec = eigenvalues(g, p)
     coulson = energy_coulson(p, tol=quad_tol)
     bip = is_bipartite(g)
     row = {
@@ -262,7 +262,7 @@ def _cmd_rank(args) -> int:
         for r in rows:
             print(f"{r['rank']:>4}  {r['graph6']:<16} {r['energy']:.8f}  {r['charpoly_digest']}")
         if report.ties:
-            print(f"ties within {1e-8:g}: {[t[:2] for t in report.ties]}")
+            print(f"ties within {ENERGY_TIE_TOL:g}: {[t[:2] for t in report.ties]}")
     return _EXIT_OK
 
 

@@ -196,6 +196,14 @@ class TestRank:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows == [["rank", "graph6", "energy", "charpoly_digest"]]
 
+    def test_text_ties_name_the_tie_tolerance(self, capsys, monkeypatch):
+        import graphenergy.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "ENERGY_TIE_TOL", 2.5e-8)
+        code, out, _ = run(capsys, "rank", "6", "7", "--top", "1")
+        assert code == 0
+        assert "ties within 2.5e-08: [(14, 15)]" in out
+
     def test_envelope(self, capsys):
         code, _, err = run(capsys, "rank", "12", "15")
         assert code == 2

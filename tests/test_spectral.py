@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from graphenergy import (
+    CharPoly,
     FamilySpec,
     Graph,
+    GraphEnergyError,
     InvalidFamilyError,
     QuadratureAccuracyError,
     b_coeffs,
     char_poly,
+    char_polys,
     closed_form_charpoly,
     count_triangles,
     disjoint_union,
@@ -23,9 +26,12 @@ from graphenergy import (
     make_cycle,
     make_s_graph,
     poly_mul,
+    spectra,
 )
+import graphenergy.spectral as spectral_mod
 from graphenergy.census import enumerate_connected
 from graphenergy.classify import is_bipartite
+from graphenergy.verify import DERIVED_CLASS_COUNTS, KNOWN_CLASS_COUNTS
 
 from test_graphs import graph_strategy
 
@@ -76,6 +82,71 @@ class TestCharPoly:
             h = _rand(rng, rng.randint(2, 6))
             u = disjoint_union(g, h)
             assert char_poly(u).coeffs == poly_mul(char_poly(g), char_poly(h)).coeffs
+
+
+# every census class the checks rank or count, n <= 8, plus the largest one
+_BATCH_CLASSES = sorted(
+    {(n, e) for n, e in {**KNOWN_CLASS_COUNTS, **DERIVED_CLASS_COUNTS} if n <= 8}
+    | {(n, n + k) for n in range(4, 9) for k in (1, 2, 3) if n + k <= n * (n - 1) // 2}
+    | {(9, 12)}
+)
+
+
+def _no_fallback(g):
+    raise AssertionError("the int64 route was expected")
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Orders of the graphs that take the Python-integer recurrence."""
+    calls = []
+    exact = spectral_mod._char_poly_exact
+    monkeypatch.setattr(spectral_mod, "_char_poly_exact", lambda g: calls.append(g.n) or exact(g))
+    return calls
+
+
+def _sparse_connected(rng, n, extra):
+    # random spanning tree plus ``extra`` chords
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
+class TestBatchedCharPoly:
+    @pytest.mark.parametrize("n,e", _BATCH_CLASSES)
+    def test_int64_batch_equals_python_recurrence(self, n, e, monkeypatch):
+        graphs = [graph6_decode(s) for s in enumerate_connected(n, e).graphs]
+        assert graphs
+        want = [spectral_mod._char_poly_exact(g) for g in graphs]
+        monkeypatch.setattr(spectral_mod, "_char_poly_exact", _no_fallback)
+        got = char_polys(graphs)
+        assert got == want
+        assert all(type(c) is int for p in got for c in p.coeffs)
+
+    def test_guard_boundary_on_complete_graphs(self, fallback_calls):
+        # K12: 12 * 2^12 * 11^12 < 2^62 stays on int64; K13 is past the bound
+        for n in (12, 13, 20):
+            want = _poly_from_roots([n - 1] + [-1] * (n - 1))
+            assert char_poly(make_complete(n)).coeffs == want
+        assert fallback_calls == [13, 20]
+
+    def test_sparse_large_graphs_fall_back_and_match_sympy(self, fallback_calls):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(40)
+        g40, g62 = _sparse_connected(rng, 40, 6), _sparse_connected(rng, 62, 4)
+        got = char_poly(g40).coeffs
+        assert char_poly(g62).coeffs[2] == -g62.e
+        assert fallback_calls == [40, 62]
+        x = sympy.Symbol("x")
+        want = sympy.Matrix(g40.adjacency_matrix().astype(int)).charpoly(x).all_coeffs()
+        assert got == tuple(int(c) for c in want)
+
+    def test_mixed_orders_rejected(self):
+        with pytest.raises(ValueError):
+            char_polys([make_cycle(4), make_cycle(5)])
+        assert char_polys([]) == [] and spectra([], []) == []
 
 
 def _rand(rng, n, p=0.5):
@@ -131,6 +202,22 @@ class TestSpectrum:
         assert abs(sum(x * x for x in s.eigenvalues) - 2 * g.e) <= 1e-8 * max(g.e, 1)
         scale = max(abs(c) for c in char_poly(g).coeffs)
         assert s.residual <= 1e-6 * scale
+
+    def test_wrong_polynomial_is_rejected(self):
+        g = make_cycle(6)
+        good = char_poly(g)
+        assert eigenvalues(g, good) == eigenvalues(g)
+        off_by_one = CharPoly(good.coeffs[:-1] + (good.coeffs[-1] + 1,))
+        for wrong in (char_poly(make_s_graph(6, 6)), off_by_one):
+            with pytest.raises(GraphEnergyError):
+                eigenvalues(g, wrong)
+        with pytest.raises(GraphEnergyError):
+            eigenvalues(g, char_poly(make_cycle(5)))
+
+    def test_stacked_spectra_equal_single_graph_spectra(self):
+        graphs = [graph6_decode(s) for s in enumerate_connected(7, 10).graphs]
+        batch = spectra(graphs, char_polys(graphs))
+        assert batch == [eigenvalues(g) for g in graphs]
 
     def test_bipartite_symmetry_and_coefficients(self):
         for g in [make_b_graph(8, 10), make_b_graph(9, 12), make_cycle(6)]:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from graphenergy import (
@@ -13,7 +14,10 @@ from graphenergy import (
     make_wheel,
     rank_class,
 )
+import graphenergy.spectral as spectral_mod
+from graphenergy.census import enumerate_connected
 from graphenergy.verify import (
+    ENERGY_TIE_TOL,
     CheckResult,
     check_class_split,
     check_closed_forms,
@@ -22,6 +26,7 @@ from graphenergy.verify import (
     check_theorem_bicyclic,
     check_theorem_tetracyclic,
     check_theorem_tricyclic,
+    _digest_poly,
     render_json,
     render_text,
     run_checks,
@@ -58,6 +63,28 @@ class TestRankClass:
             ((eigenvalues(graph6_decode(e.graph6)).energy, e.graph6) for e in report.entries),
         )
         assert [s for _, s in redone] == [e.graph6 for e in report.entries]
+
+    def test_chunked_ranking_equals_per_graph_reference(self):
+        # 814 graphs cross several stacked chunks; the reference solves and
+        # expands one graph at a time, as ranking did before it was batched
+        rows = []
+        for s in enumerate_connected(8, 11).graphs:
+            g = graph6_decode(s)
+            coeffs = spectral_mod._char_poly_exact(g).coeffs
+            w = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
+            rows.append((float(np.abs(w).sum()), s, _digest_poly(coeffs), coeffs))
+        rows.sort(key=lambda r: (r[0], r[1]))
+        ties = tuple(
+            (i, i + 1, rows[i][3] == rows[i + 1][3])
+            for i in range(len(rows) - 1)
+            if rows[i + 1][0] - rows[i][0] <= ENERGY_TIE_TOL
+        )
+        report = rank_class(8, 11)
+        assert len(report.entries) == 814
+        assert [(x.graph6, repr(x.energy), x.charpoly_digest) for x in report.entries] == [
+            (s, repr(en), dig) for en, s, dig, _ in rows
+        ]
+        assert report.ties == ties
 
     def test_cospectral_pair_in_6_7_is_flagged(self):
         # the smallest connected cospectral pair in these classes sits in
