@@ -21,7 +21,7 @@ from .errors import (
 )
 from .graph6 import graph6_decode
 from .graphs import Graph, family_graph
-from .spectral import b_coeffs, char_poly, eigenvalues, energy_coulson
+from .spectral import Spectrum, b_coeffs, energy_coulson, spectra
 from .verify import CHECKS, ENERGY_TIE_TOL, rank_class, render_json, render_text, run_checks
 
 _EXIT_OK = 0
@@ -86,9 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _graph_report(label: str, g: Graph, quad_tol: float) -> dict:
-    p = char_poly(g)
-    spec = eigenvalues(g, p)
+def _graph_report(label: str, g: Graph, spec: Spectrum, quad_tol: float) -> dict:
+    p = spec.charpoly
     coulson = energy_coulson(p, tol=quad_tol)
     bip = is_bipartite(g)
     row = {
@@ -159,7 +158,8 @@ def _cmd_energy(args) -> int:
             print(f"graphenergy: {msg}", file=sys.stderr)
         return _EXIT_USAGE
 
-    reports = [_graph_report(label, g, args.quad_tol) for label, g in items]
+    specs = spectra([g for _, g in items])
+    reports = [_graph_report(*item, spec, args.quad_tol) for item, spec in zip(items, specs)]
     if args.format == "json":
         print(json.dumps(reports, indent=2))
     elif args.format == "csv":

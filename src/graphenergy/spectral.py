@@ -1,35 +1,35 @@
 """Exact characteristic polynomials and graph energy by two independent routes.
 
-``char_poly`` and ``eigenvalues`` are batches of one: ``char_polys`` and
-``spectra`` do the work for a list of graphs of one order, so ranking a class
-runs one stacked pass per chunk instead of one pass per graph.
+``char_polys`` and ``spectra`` take graphs of any orders, run one stacked pass
+per chunk of at most ``_CHUNK`` graphs of one order and answer in input order;
+``char_poly`` and ``eigenvalues`` are batches of one.
 
-``char_polys`` runs the Faddeev-LeVerrier recurrence
+Per chunk, the Faddeev-LeVerrier recurrence
 
     M_1 = A,   M_k = A (M_{k-1} + c_{k-1} I),   c_k = -tr(M_k) / k,
 
-checking per graph that each division is exact and that c_2 = -e. It uses a
-stacked ``(k, n, n)`` int64 array when ``n * 2**n * D**n < 2**62``, where D is
-the largest degree in the batch (taken as at least 1), and the Python-integer
-recurrence per graph otherwise, so coefficients are exact at any order. The
-bound rules out overflow: M_k = sum_{j<k} c_j A^(k-j), every eigenvalue has
-|lambda| <= D so |c_j| = |e_j(lambda)| <= C(n,j) D^j, and entries of A^i are at
-most D^i. Every entry of M_k, of M_k + c_k I, and every partial sum of the
-non-negative combination A @ X is therefore at most D^k sum_j C(n,j) <= 2^n D^n,
-and a trace adds n of them. Orders n <= 9 sit far inside (9 * 2^9 * 8^9 < 2^40);
-n = 62 is outside at any degree.
+runs with per-graph checks that each division is exact and that c_2 = -e. It
+uses a stacked ``(k, n, n)`` int64 array when ``n * 2**n * D**n < 2**62``,
+where D is the largest degree in the chunk (taken as at least 1), and the
+Python-integer recurrence per graph otherwise, so coefficients are exact at
+any order. The bound rules out overflow: M_k = sum_{j<k} c_j A^(k-j), every
+eigenvalue has |lambda| <= D so |c_j| = |e_j(lambda)| <= C(n,j) D^j, and
+entries of A^i are at most D^i. Every entry of M_k, of M_k + c_k I, and every
+partial sum of the non-negative combination A @ X is therefore at most
+D^k sum_j C(n,j) <= 2^n D^n, and a trace adds n of them. Orders n <= 9 sit far
+inside (9 * 2^9 * 8^9 < 2^40); n = 62 is outside at any degree.
 
-``eigenvalues`` is the authoritative energy route (symmetric eigensolver); the
-polynomial only gates it, through the residual |p(lambda)| of every eigenvalue.
-``energy_coulson`` integrates the classical contour formula from the exact
-coefficients and serves as the independent oracle: nothing the eigensolver
-computes reaches it.
+``spectra`` is the authoritative energy route (symmetric eigensolver); each
+:class:`Spectrum` carries the exact polynomial that gated it, through the
+residual |p(lambda)| of every eigenvalue. ``energy_coulson`` integrates the
+classical contour formula from the exact coefficients and serves as the
+independent oracle: nothing the eigensolver computes reaches it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +48,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
-
 
 @dataclass(frozen=True)
 class BCoeffs:
@@ -64,11 +58,12 @@ class BCoeffs:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All adjacency eigenvalues sorted descending, with derived energy."""
+    """Adjacency eigenvalues sorted descending, their energy and the polynomial that gated them."""
 
     eigenvalues: tuple[float, ...]
     energy: float
     residual: float
+    charpoly: CharPoly
 
 
 @dataclass(frozen=True)
@@ -81,19 +76,29 @@ class CoulsonEnergy:
 # int64 Faddeev-LeVerrier is exact while n * 2**n * D**n stays below this
 # (proof in the module docstring).
 _INT64_LIMIT = 1 << 62
+# Graphs per stacked pass: big enough to amortise the numpy calls, small
+# enough that the (k, n, n) stacks add little to peak memory.
+_CHUNK = 256
 
 
-def _common_order(graphs: Sequence[Graph]) -> int:
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("graphs in one batch must share their order")
-    return n
+def _batched(stacked: Callable[[list[Graph]], list], graphs: Sequence[Graph]) -> list:
+    """``stacked`` over chunks of graphs of one order, results in input order."""
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    out: list = [None] * len(graphs)
+    for index in by_order.values():
+        for lo in range(0, len(index), _CHUNK):
+            chunk = index[lo:lo + _CHUNK]
+            for i, result in zip(chunk, stacked([graphs[i] for i in chunk])):
+                out[i] = result
+    return out
 
 
-def _adjacency_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
+def _adjacency_stack(graphs: list[Graph]) -> np.ndarray:
     """``(k, n, n)`` 0/1 int64 adjacency matrices, unpacked from the bitset rows."""
     rows = np.array([g.adj for g in graphs], dtype=np.int64)
-    return (rows[:, :, None] >> np.arange(n)) & 1
+    return (rows[:, :, None] >> np.arange(rows.shape[1])) & 1
 
 
 def _char_poly_exact(g: Graph) -> CharPoly:
@@ -125,16 +130,14 @@ def _char_poly_exact(g: Graph) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def char_polys(graphs: Sequence[Graph]) -> list[CharPoly]:
-    """Exact characteristic polynomials of graphs of one order, in one stacked pass.
+def _stacked_char_polys(graphs: list[Graph]) -> list[CharPoly]:
+    """Exact characteristic polynomials of one chunk of graphs of one order.
 
     Takes the int64 route only under the overflow bound of the module
     docstring, and the Python-integer recurrence per graph otherwise.
     """
-    if not graphs:
-        return []
-    n = _common_order(graphs)
-    a = _adjacency_stack(graphs, n)
+    n = graphs[0].n
+    a = _adjacency_stack(graphs)
     if n * 2**n * max(int(a.sum(axis=2).max()), 1) ** n >= _INT64_LIMIT:
         return [_char_poly_exact(g) for g in graphs]
     size = len(graphs)
@@ -156,6 +159,11 @@ def char_polys(graphs: Sequence[Graph]) -> list[CharPoly]:
     return [CharPoly(tuple(c)) for c in coeffs.tolist()]
 
 
+def char_polys(graphs: Sequence[Graph]) -> list[CharPoly]:
+    """Exact characteristic polynomials of graphs of any orders, in input order."""
+    return _batched(_stacked_char_polys, graphs)
+
+
 def char_poly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the adjacency matrix."""
     return char_polys([g])[0]
@@ -175,20 +183,17 @@ def poly_mul(p: CharPoly, q: CharPoly) -> CharPoly:
     return CharPoly(tuple(out))
 
 
-def spectra(graphs: Sequence[Graph], polys: Sequence[CharPoly]) -> list[Spectrum]:
-    """Spectra of graphs of one order from one stacked eigensolve.
+def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
+    """Spectra of one chunk of graphs of one order from one stacked eigensolve.
 
-    ``polys[i]`` must be the characteristic polynomial of ``graphs[i]``. It
-    gates the eigenvalues: :class:`GraphEnergyError` is raised when the
-    largest residual |p(lambda)| exceeds 1e-10 times the largest condition
-    sum_k |c_k| |lambda|^(n-k), as it does for a wrong polynomial.
+    Each graph's exact polynomial gates its eigenvalues:
+    :class:`GraphEnergyError` is raised when the largest residual |p(lambda)|
+    exceeds 1e-10 times the largest condition sum_k |c_k| |lambda|^(n-k), as
+    it does for a wrong polynomial.
     """
-    if not graphs:
-        return []
-    n = _common_order(graphs)
-    if len(polys) != len(graphs) or any(p.degree != n for p in polys):
-        raise GraphEnergyError("one characteristic polynomial of degree n per graph expected")
-    w = np.linalg.eigvalsh(_adjacency_stack(graphs, n).astype(np.float64))[:, ::-1]
+    n = graphs[0].n
+    polys = _stacked_char_polys(graphs)
+    w = np.linalg.eigvalsh(_adjacency_stack(graphs).astype(np.float64))[:, ::-1]
     e = np.array([g.e for g in graphs], dtype=np.float64)
     if (np.abs(w.sum(axis=1)) > 1e-9 * n).any():
         raise GraphEnergyError("eigenvalue sum violates trace-zero bound")
@@ -201,18 +206,19 @@ def spectra(graphs: Sequence[Graph], polys: Sequence[CharPoly]) -> list[Spectrum
     if (residual > 1e-10 * condition).any():
         raise GraphEnergyError("eigenvalues are not roots of the characteristic polynomial")
     return [
-        Spectrum(tuple(row.tolist()), float(np.abs(row).sum()), r)
-        for row, r in zip(w, residual.tolist())
+        Spectrum(tuple(row.tolist()), float(np.abs(row).sum()), r, p)
+        for row, r, p in zip(w, residual.tolist(), polys)
     ]
 
 
-def eigenvalues(g: Graph, p: CharPoly | None = None) -> Spectrum:
-    """All n real adjacency eigenvalues, descending; energy = sum |lambda_i|.
+def spectra(graphs: Sequence[Graph]) -> list[Spectrum]:
+    """Spectra of graphs of any orders, in input order, each with its polynomial."""
+    return _batched(_stacked_spectra, graphs)
 
-    ``p`` is the graph's characteristic polynomial when the caller has it
-    already; otherwise it is computed.
-    """
-    return spectra([g], [char_poly(g) if p is None else p])[0]
+
+def eigenvalues(g: Graph) -> Spectrum:
+    """All n real adjacency eigenvalues, descending; energy = sum |lambda_i|."""
+    return spectra([g])[0]
 
 
 def energy(g: Graph) -> float:

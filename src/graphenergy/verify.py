@@ -26,13 +26,10 @@ from .graphs import (
     make_cycle,
     make_s_graph,
 )
-from .graph6 import graph6_decode
 from .spectral import (
     b_coeffs,
     char_poly,
-    char_polys,
     closed_form_charpoly,
-    eigenvalues,
     energy,
     energy_coulson,
     spectra,
@@ -40,9 +37,7 @@ from .spectral import (
 from .canon import canonical_g6
 
 ENERGY_TIE_TOL = 1e-8
-# Graphs per stacked pass in rank_class: big enough to amortise the numpy
-# calls, small enough that the (k, n, n) stacks add little to peak memory.
-_RANK_CHUNK = 256
+DUAL_ENERGY_TOL = 1e-6
 
 # Reference counts for the census classes; the (8,11) and (9,12) values are
 # derived here by two independent generation strategies and frozen.
@@ -114,20 +109,18 @@ def _digest_poly(coeffs) -> str:
 def rank_class(n: int, e: int, cache_dir=None) -> RankReport:
     """Enumerate the class, compute authoritative energies, sort, mark ties."""
     census = get_census(n, e, cache_dir)
-    rows = []
-    for lo in range(0, len(census.graphs), _RANK_CHUNK):
-        chunk = census.graphs[lo:lo + _RANK_CHUNK]
-        graphs = [graph6_decode(s) for s in chunk]
-        polys = char_polys(graphs)
-        for s, p, spec in zip(chunk, polys, spectra(graphs, polys)):
-            rows.append((spec.energy, s, _digest_poly(p.coeffs), p.coeffs))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    ties = []
-    for i in range(len(rows) - 1):
-        if rows[i + 1][0] - rows[i][0] <= ENERGY_TIE_TOL:
-            ties.append((i, i + 1, rows[i][3] == rows[i + 1][3]))
-    entries = tuple(RankedGraph(s, en, dig) for en, s, dig, _ in rows)
-    return RankReport(n, e, entries, tuple(ties))
+    rows = sorted(
+        zip(spectra(census.members()), census.graphs), key=lambda r: (r[0].energy, r[1])
+    )
+    ties = tuple(
+        (i, i + 1, a.charpoly == b.charpoly)
+        for i, ((a, _), (b, _)) in enumerate(zip(rows, rows[1:]))
+        if b.energy - a.energy <= ENERGY_TIE_TOL
+    )
+    entries = tuple(
+        RankedGraph(s, spec.energy, _digest_poly(spec.charpoly.coeffs)) for spec, s in rows
+    )
+    return RankReport(n, e, entries, ties)
 
 
 def _canon_of_family(text: str) -> str:
@@ -235,10 +228,9 @@ def default_inequality_range() -> list[int]:
     return list(range(6, 21)) + [25, 30, 35, 40]
 
 
-def check_family_inequalities(n_values=None) -> CheckResult:
+def check_family_inequalities() -> CheckResult:
     """Numeric verification of the pairwise family-energy inequalities."""
     t0 = time.perf_counter()
-    ns = sorted(n_values) if n_values else default_inequality_range()
     ev: list[dict] = []
 
     # fixed reference energies, five decimals
@@ -265,7 +257,7 @@ def check_family_inequalities(n_values=None) -> CheckResult:
             }
         )
 
-    for n in ns:
+    for n in default_inequality_range():
         # star-versus-bipartite regimes at e = n+1, n+2, n+3
         for e in (n + 1, n + 2, n + 3):
             if e > 2 * n - 3 or e > 2 * (n - 2):
@@ -327,11 +319,11 @@ def check_family_inequalities(n_values=None) -> CheckResult:
     return CheckResult("family-inequalities", passed, ev, time.perf_counter() - t0)
 
 
-def check_closed_forms(n_values=range(6, 13)) -> CheckResult:
-    """Exact agreement of computed polynomials with the reference closed forms."""
+def check_closed_forms() -> CheckResult:
+    """Exact agreement of computed polynomials with the reference closed forms, 6 <= n <= 12."""
     t0 = time.perf_counter()
     ev = []
-    for n in n_values:
+    for n in range(6, 13):
         for e_off in (0, 2, 3):
             e = n + e_off
             spec = FamilySpec("s", (n, e))
@@ -436,7 +428,7 @@ def check_edge_cut_lemma(trials: int = 500, seed: int = 1729) -> CheckResult:
     return CheckResult("edge-cut", violations == 0, ev, time.perf_counter() - t0)
 
 
-def check_census_counts(include_derived: bool = True) -> CheckResult:
+def check_census_counts() -> CheckResult:
     """Reference class counts, plus two-strategy agreement on the derived ones."""
     t0 = time.perf_counter()
     ev = []
@@ -446,23 +438,21 @@ def check_census_counts(include_derived: bool = True) -> CheckResult:
             {"item": "known-count", "n": n, "e": e, "expected": want, "actual": got,
              "ok": got == want}
         )
-    if include_derived:
-        for (n, e), want in sorted(DERIVED_CLASS_COUNTS.items()):
-            edge = enumerate_connected(n, e)
-            vertex = enumerate_connected(n, e, strategy="vertex")
-            ev.append(
-                {
-                    "item": "derived-count",
-                    "n": n,
-                    "e": e,
-                    "edge_strategy": len(edge),
-                    "vertex_strategy": len(vertex),
-                    "frozen": want,
-                    "identical_censuses": edge.graphs == vertex.graphs,
-                    "ok": len(edge) == len(vertex) == want
-                    and edge.graphs == vertex.graphs,
-                }
-            )
+    for (n, e), want in sorted(DERIVED_CLASS_COUNTS.items()):
+        edge = enumerate_connected(n, e)
+        vertex = enumerate_connected(n, e, strategy="vertex")
+        ev.append(
+            {
+                "item": "derived-count",
+                "n": n,
+                "e": e,
+                "edge_strategy": len(edge),
+                "vertex_strategy": len(vertex),
+                "frozen": want,
+                "identical_censuses": edge.graphs == vertex.graphs,
+                "ok": len(edge) == len(vertex) == want and edge.graphs == vertex.graphs,
+            }
+        )
     passed = all(row["ok"] for row in ev)
     return CheckResult("census", passed, ev, time.perf_counter() - t0)
 
@@ -489,8 +479,7 @@ def check_class_split(cache_dir=None) -> CheckResult:
         edge_extra = 0
         witness_ok = True
         bipartite_ok = True
-        for s in census.graphs:
-            g = graph6_decode(s)
+        for g in census.members():
             label = classify(g)
             edge_label = classify(g, disjointness="edge")
             if label.kind == ClassKind.CLASS2:
@@ -531,20 +520,21 @@ def check_class_split(cache_dir=None) -> CheckResult:
     return CheckResult("class-split", passed, ev, time.perf_counter() - t0)
 
 
-def check_dual_energy(classes=((4, 4), (5, 6), (6, 8), (7, 10)), tol=1e-6) -> CheckResult:
+def check_dual_energy(classes=((4, 4), (5, 6), (6, 8), (7, 10))) -> CheckResult:
     """Eigenvalue energy versus contour-integral energy over whole censuses."""
     t0 = time.perf_counter()
     ev = []
     worst = 0.0
-    for n, e in classes:
-        census = enumerate_connected(n, e)
+    censuses = [enumerate_connected(n, e) for n, e in classes]
+    # one pass over every class; each census below takes its own spectra in turn
+    specs = iter(spectra([g for census in censuses for g in census.members()]))
+    for census in censuses:
         bad = 0
-        for s in census.graphs:
-            g = graph6_decode(s)
-            p = char_poly(g)
-            diff = abs(eigenvalues(g, p).energy - energy_coulson(p).value)
+        for s, spec in zip(census.graphs, specs):
+            # the contour integral sees only the exact polynomial
+            diff = abs(spec.energy - energy_coulson(spec.charpoly).value)
             worst = max(worst, diff)
-            if diff > tol:
+            if diff > DUAL_ENERGY_TOL:
                 bad += 1
                 ev.append(
                     {"item": "dual-energy", "graph6": s, "difference": diff, "ok": False}
@@ -552,14 +542,15 @@ def check_dual_energy(classes=((4, 4), (5, 6), (6, 8), (7, 10)), tol=1e-6) -> Ch
         ev.append(
             {
                 "item": "dual-energy-class",
-                "n": n,
-                "e": e,
+                "n": census.n,
+                "e": census.e,
                 "graphs": len(census),
                 "violations": bad,
                 "ok": bad == 0,
             }
         )
-    ev.append({"item": "summary", "worst_difference": worst, "tolerance": tol, "ok": worst <= tol})
+    ev.append({"item": "summary", "worst_difference": worst, "tolerance": DUAL_ENERGY_TOL,
+               "ok": worst <= DUAL_ENERGY_TOL})
     passed = all(row["ok"] for row in ev)
     return CheckResult("dual-energy", passed, ev, time.perf_counter() - t0)
 

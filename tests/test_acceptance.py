@@ -138,7 +138,7 @@ def test_criterion_7_inequality_suite():
     with criterion(7, "family inequality suite, n = 6..40 sampled"):
         ns = default_inequality_range()
         assert max(ns) == 40 and min(ns) == 6
-        result = check_family_inequalities(ns)
+        result = check_family_inequalities()
         assert result.passed, result.failures()
         assert len(result.evidence) > 150
 

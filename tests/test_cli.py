@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graphenergy import Graph, char_poly, eigenvalues, family_graph, graph6_decode, graph6_encode
 from graphenergy.cli import main
 import graphenergy.verify as verify_mod
 from graphenergy.verify import CheckResult
@@ -69,6 +70,23 @@ class TestEnergy:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["input"] for r in rows] == ["C5", "C~"]
+
+    def test_mixed_orders_report_in_input_order(self, capsys, monkeypatch):
+        # orders 3..20 interleaved, graph6 and family lines mixed
+        path20 = graph6_encode(Graph.from_edges(20, [(v, v + 1) for v in range(19)]))
+        lines = ["S 7 7", "C~", path20, "C5", "K3", "B 7 9", "Kb 3 3", "K4"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(x + "\n" for x in lines)))
+        code, out, _ = run(capsys, "--format", "json", "energy", "-")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["input"] for r in rows] == lines
+        for line, row in zip(lines, rows):
+            g = graph6_decode(line) if line in ("C~", path20) else family_graph(line)
+            spec = eigenvalues(g)
+            assert (row["n"], row["e"]) == (g.n, g.e)
+            assert row["eigenvalues"] == list(spec.eigenvalues)
+            assert row["energy"] == spec.energy
+            assert row["charpoly"] == list(char_poly(g).coeffs)
 
     def test_parse_error_carries_line_number(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("K4\n!!bogus!!\n"))

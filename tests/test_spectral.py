@@ -143,10 +143,21 @@ class TestBatchedCharPoly:
         want = sympy.Matrix(g40.adjacency_matrix().astype(int)).charpoly(x).all_coeffs()
         assert got == tuple(int(c) for c in want)
 
-    def test_mixed_orders_rejected(self):
-        with pytest.raises(ValueError):
-            char_polys([make_cycle(4), make_cycle(5)])
-        assert char_polys([]) == [] and spectra([], []) == []
+    def test_mixed_orders_in_input_order(self, fallback_calls):
+        # 814 graphs cross several chunks of one order; the sparse n = 20 and
+        # n = 62 graphs take the Python-integer route in the same call
+        rng = random.Random(11)
+        graphs = [graph6_decode(s) for s in enumerate_connected(8, 11).graphs]
+        graphs += [make_complete(4), make_cycle(5)]
+        graphs += [_sparse_connected(rng, n, 3) for n in (20, 62, 20)]
+        rng.shuffle(graphs)
+        got_polys = char_polys(graphs)
+        assert sorted(fallback_calls) == [20, 20, 62]
+        got_spectra = spectra(graphs)
+        assert got_polys == [char_poly(g) for g in graphs]
+        assert got_spectra == [eigenvalues(g) for g in graphs]
+        assert [s.charpoly for s in got_spectra] == got_polys
+        assert char_polys([]) == [] and spectra([]) == []
 
 
 def _rand(rng, n, p=0.5):
@@ -203,20 +214,21 @@ class TestSpectrum:
         scale = max(abs(c) for c in char_poly(g).coeffs)
         assert s.residual <= 1e-6 * scale
 
-    def test_wrong_polynomial_is_rejected(self):
+    def test_wrong_polynomial_is_rejected(self, monkeypatch):
         g = make_cycle(6)
         good = char_poly(g)
-        assert eigenvalues(g, good) == eigenvalues(g)
+        assert eigenvalues(g).charpoly == good
         off_by_one = CharPoly(good.coeffs[:-1] + (good.coeffs[-1] + 1,))
         for wrong in (char_poly(make_s_graph(6, 6)), off_by_one):
+            monkeypatch.setattr(
+                spectral_mod, "_stacked_char_polys", lambda graphs: [wrong] * len(graphs)
+            )
             with pytest.raises(GraphEnergyError):
-                eigenvalues(g, wrong)
-        with pytest.raises(GraphEnergyError):
-            eigenvalues(g, char_poly(make_cycle(5)))
+                eigenvalues(g)
 
     def test_stacked_spectra_equal_single_graph_spectra(self):
         graphs = [graph6_decode(s) for s in enumerate_connected(7, 10).graphs]
-        batch = spectra(graphs, char_polys(graphs))
+        batch = spectra(graphs)
         assert batch == [eigenvalues(g) for g in graphs]
 
     def test_bipartite_symmetry_and_coefficients(self):
