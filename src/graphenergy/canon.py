@@ -24,10 +24,9 @@ _MAX_STORED_AUTOS = 3000
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Canonical graph6 string plus optional automorphism-group order."""
+    """Canonical graph6 string of a graph."""
 
     graph6: str
-    aut_order: int | None = None
 
 
 def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
@@ -154,10 +153,9 @@ def canonicalize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return Graph(g.n, cert, g.e), perm
 
 
-def canonical_label(g: Graph, *, with_aut_order: bool = False) -> CanonicalForm:
+def canonical_label(g: Graph) -> CanonicalForm:
     """Canonical graph6 string; isomorphic graphs map to equal strings."""
-    order = aut_order(g) if with_aut_order else None
-    return CanonicalForm(canonical_g6(g.n, g.adj), order)
+    return CanonicalForm(canonical_g6(g.n, g.adj))
 
 
 def aut_order(g: Graph) -> int:

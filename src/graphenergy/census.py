@@ -22,6 +22,7 @@ cleanly and reports are stable.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -29,15 +30,13 @@ from pathlib import Path
 
 from .canon import canonical_g6, canonical_rows
 from .errors import CacheMissError, CorruptCacheError, ScaleError
-from .graph6 import graph6_decode
+from .graph6 import encode_rows, graph6_decode
 from .graphs import Graph, dsu_find
 
 GENERATOR_VERSION = "graphenergy-census/1"
 
 MAX_ENUM_VERTICES = 10
 MAX_ENUM_EXCESS = 3  # e <= n + 3
-
-_memo: dict[tuple[int, int], "GraphClassCensus"] = {}
 
 
 @dataclass(frozen=True)
@@ -107,20 +106,16 @@ def _is_max_code(rows: list[int], n: int) -> bool:
     return walk(0, 0)
 
 
-def _generate_orderly(n: int, e: int) -> list[Graph]:
-    """Connected (n,e)-graphs via max-code orderly edge augmentation."""
-    if n == 1:
-        return [Graph(1, (0,), 0)] if e == 0 else []
+def _generate_orderly(n: int, e: int) -> list[str]:
+    """Connected (n,e)-graphs via max-code orderly edge augmentation, as canonical graph6."""
     pairs = _pair_order(n)
     total_pairs = len(pairs)
-    if e > total_pairs:
-        return []
-    out: list[Graph] = []
+    out: list[str] = []
 
     def extend(rows: list[int], m: int, last: int, parent: list[int], comps: int):
         if m == e:
             if comps == 1:
-                out.append(Graph(n, tuple(rows), e))
+                out.append(canonical_g6(n, rows))
             return
         need = e - m
         for p in range(last + 1, total_pairs):
@@ -147,12 +142,8 @@ def _generate_orderly(n: int, e: int) -> list[Graph]:
     return out
 
 
-def _generate_vertex_aug(n: int, e: int) -> list[Graph]:
-    """Connected (n,e)-graphs by vertex augmentation with canonical dedup."""
-    if n == 1:
-        return [Graph(1, (0,), 0)] if e == 0 else []
-    if e < n - 1:
-        return []
+def _generate_vertex_aug(n: int, e: int) -> list[str]:
+    """Connected (n,e)-graphs by vertex augmentation with canonical dedup, as canonical graph6."""
     # level maps canonical rows -> edge count, for k-vertex connected graphs
     level: dict[tuple[int, ...], int] = {(0,): 0}
     for k in range(1, n):
@@ -177,7 +168,7 @@ def _generate_vertex_aug(n: int, e: int) -> list[Graph]:
                     rows.append(mask)
                     nxt.setdefault(canonical_rows(k + 1, rows), m + size)
         level = nxt
-    return [Graph(n, rows, e) for rows in sorted(level)]
+    return [encode_rows(n, rows) for rows, m in level.items() if m == e]
 
 
 _STRATEGIES = {
@@ -186,11 +177,13 @@ _STRATEGIES = {
 }
 
 
+@functools.cache
 def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClassCensus:
     """Census of connected (n,e)-graphs, one canonical representative each.
 
     Supported envelope: n <= 10 and e <= n + 3. Larger requests fail loudly
-    rather than truncating.
+    rather than truncating. Censuses are memoised per (n, e, strategy);
+    ``enumerate_connected.cache_clear()`` drops them.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -202,23 +195,16 @@ def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClass
         raise ScaleError(
             f"enumeration supports 0 <= e <= n+{MAX_ENUM_EXCESS}, got e={e} for n={n}"
         )
-    key = (n, e)
-    if strategy == "edge" and key in _memo:
-        return _memo[key]
-    graphs = _STRATEGIES[strategy](n, e)
-    strings = tuple(sorted(canonical_g6(g.n, g.adj) for g in graphs))
+    strings = tuple(sorted(_STRATEGIES[strategy](n, e)))
     if len(set(strings)) != len(strings):
         raise RuntimeError(f"duplicate canonical forms in ({n},{e}) census")
-    census = GraphClassCensus(
+    return GraphClassCensus(
         n=n,
         e=e,
         graphs=strings,
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         generator_version=GENERATOR_VERSION,
     )
-    if strategy == "edge":
-        _memo[key] = census
-    return census
 
 
 # --- on-disk cache ----------------------------------------------------------
@@ -283,12 +269,20 @@ def census_cache_load(n: int, e: int, directory) -> GraphClassCensus:
         )
     if _digest(strings) != want_digest:
         raise CorruptCacheError(f"cache {g6_path} failed its digest check")
+    version = meta.get("generator_version", "")
+    if version != GENERATOR_VERSION:
+        raise CorruptCacheError(
+            f"cache {g6_path} was written by {version!r}, not {GENERATOR_VERSION!r}"
+        )
+    # a re-signed digest would hide a reordered or repeated line
+    if any(a >= b for a, b in zip(strings, strings[1:])):
+        raise CorruptCacheError(f"cache {g6_path} is not strictly sorted")
     return GraphClassCensus(
         n=n,
         e=e,
         graphs=strings,
         generated_at=meta.get("generated_at", ""),
-        generator_version=meta.get("generator_version", ""),
+        generator_version=version,
     )
 
 

@@ -22,7 +22,15 @@ from .errors import (
 from .graph6 import graph6_decode
 from .graphs import Graph, family_graph
 from .spectral import Spectrum, b_coeffs, energy_coulson, spectra
-from .verify import CHECKS, ENERGY_TIE_TOL, rank_class, render_json, render_text, run_checks
+from .verify import (
+    CHECKS,
+    ENERGY_TIE_TOL,
+    CheckContext,
+    rank_class,
+    render_json,
+    render_text,
+    run_checks,
+)
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -48,7 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-7,
         help="absolute tolerance for the contour-integral energy (default 1e-7)",
     )
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=CheckContext.seed,
+        help="seed for randomized checks (default %(default)s)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_energy = sub.add_parser("energy", help="per-graph spectral report")
@@ -82,7 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(CHECKS) + ["all"],
         help="check name (repeatable; default all)",
     )
-    p_verify.add_argument("--trials", type=int, help="trial count for seeded checks")
+    p_verify.add_argument(
+        "--trials",
+        type=int,
+        default=CheckContext.trials,
+        help="trial count for seeded checks (default %(default)s)",
+    )
     return parser
 
 
@@ -267,14 +285,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.cache_dir is not None:
-        kwargs["cache_dir"] = args.cache_dir
-    results = run_checks(args.check, **kwargs)
+    ctx = CheckContext(cache_dir=args.cache_dir, seed=args.seed, trials=args.trials)
+    results = run_checks(args.check, ctx)
     if args.format == "json":
         print(render_json(results))
     elif args.format == "csv":

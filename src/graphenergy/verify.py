@@ -1,8 +1,9 @@
 """Executable verification checks with pass/fail results and numeric evidence.
 
-Each check returns a :class:`CheckResult` whose evidence rows carry every
-value compared, so a failure localizes immediately (enumeration, spectra, or
-family constructors). Checks are deterministic given their seed.
+Every check is called as ``check(ctx)`` with one :class:`CheckContext` and
+returns a :class:`CheckResult` whose evidence rows carry every value compared,
+so a failure localizes immediately (enumeration, spectra, or family
+constructors). Checks are deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .canon import canonical_g6
 
 ENERGY_TIE_TOL = 1e-8
 DUAL_ENERGY_TOL = 1e-6
+DUAL_ENERGY_CLASSES = ((4, 4), (5, 6), (6, 8), (7, 10))
 
 # Reference counts for the census classes; the (8,11) and (9,12) values are
 # derived here by two independent generation strategies and frozen.
@@ -78,16 +80,14 @@ class RankReport:
     def minimal(self) -> RankedGraph:
         return self.entries[0]
 
-    @property
-    def second_minimal(self) -> RankedGraph:
-        return self.entries[1]
 
-    @property
-    def third_minimal(self) -> RankedGraph:
-        return self.entries[2]
+@dataclass(frozen=True)
+class CheckContext:
+    """What a check may read: census cache directory, seed and trial count."""
 
-    def nth(self, k: int) -> RankedGraph:
-        return self.entries[k]
+    cache_dir: str | None = None
+    seed: int = 1729
+    trials: int = 500
 
 
 @dataclass
@@ -129,11 +129,11 @@ def _canon_of_family(text: str) -> str:
 
 
 def _expect_rank(report: RankReport, index: int, family: str) -> dict:
-    got = report.nth(index)
+    got = report.entries[index]
     want = _canon_of_family(family)
     gap = None
     if index + 1 < len(report.entries):
-        gap = report.nth(index + 1).energy - got.energy
+        gap = report.entries[index + 1].energy - got.energy
     return {
         "n": report.n,
         "e": report.e,
@@ -147,7 +147,7 @@ def _expect_rank(report: RankReport, index: int, family: str) -> dict:
     }
 
 
-def _theorem_check(name: str, claims, cache_dir=None) -> CheckResult:
+def _theorem_check(name: str, claims, cache_dir) -> CheckResult:
     t0 = time.perf_counter()
     evidence = []
     for n, e, rank_expect in claims:
@@ -166,7 +166,7 @@ def _theorem_check(name: str, claims, cache_dir=None) -> CheckResult:
     return CheckResult(name, passed, evidence, time.perf_counter() - t0)
 
 
-def check_theorem_bicyclic(cache_dir=None) -> CheckResult:
+def check_theorem_bicyclic(ctx: CheckContext) -> CheckResult:
     """Minimal-energy families among connected (n, n+1)-graphs, 4 <= n <= 9."""
     claims = [
         (4, 5, [(0, "S 4 5")]),
@@ -176,10 +176,10 @@ def check_theorem_bicyclic(cache_dir=None) -> CheckResult:
         (8, 9, [(0, "S 8 9")]),
         (9, 10, [(0, "S 9 10")]),
     ]
-    return _theorem_check("bicyclic", claims, cache_dir)
+    return _theorem_check("bicyclic", claims, ctx.cache_dir)
 
 
-def check_theorem_tricyclic(cache_dir=None) -> CheckResult:
+def check_theorem_tricyclic(ctx: CheckContext) -> CheckResult:
     """Minimal-energy families among connected (n, n+2)-graphs, 4 <= n <= 9."""
     claims = [
         (4, 6, [(0, "K 4")]),
@@ -189,10 +189,10 @@ def check_theorem_tricyclic(cache_dir=None) -> CheckResult:
         (8, 10, [(0, "B 8 10")]),
         (9, 11, [(0, "B 9 11")]),
     ]
-    return _theorem_check("tricyclic", claims, cache_dir)
+    return _theorem_check("tricyclic", claims, ctx.cache_dir)
 
 
-def check_theorem_tetracyclic(cache_dir=None) -> CheckResult:
+def check_theorem_tetracyclic(ctx: CheckContext) -> CheckResult:
     """Minimal-energy families among connected (n, n+3)-graphs, 5 <= n <= 9."""
     claims = [
         (5, 8, [(0, "W 5")]),
@@ -201,7 +201,7 @@ def check_theorem_tetracyclic(cache_dir=None) -> CheckResult:
         (8, 11, [(0, "B 8 11")]),
         (9, 12, [(0, "B 9 12")]),
     ]
-    return _theorem_check("tetracyclic", claims, cache_dir)
+    return _theorem_check("tetracyclic", claims, ctx.cache_dir)
 
 
 def _ineq(evidence: list, label: str, n: int, lhs_name: str, lhs: float,
@@ -228,7 +228,7 @@ def default_inequality_range() -> list[int]:
     return list(range(6, 21)) + [25, 30, 35, 40]
 
 
-def check_family_inequalities() -> CheckResult:
+def check_family_inequalities(ctx: CheckContext) -> CheckResult:
     """Numeric verification of the pairwise family-energy inequalities."""
     t0 = time.perf_counter()
     ev: list[dict] = []
@@ -319,7 +319,7 @@ def check_family_inequalities() -> CheckResult:
     return CheckResult("family-inequalities", passed, ev, time.perf_counter() - t0)
 
 
-def check_closed_forms() -> CheckResult:
+def check_closed_forms(ctx: CheckContext) -> CheckResult:
     """Exact agreement of computed polynomials with the reference closed forms, 6 <= n <= 12."""
     t0 = time.perf_counter()
     ev = []
@@ -360,15 +360,15 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def check_edge_cut_lemma(trials: int = 500, seed: int = 1729) -> CheckResult:
+def check_edge_cut_lemma(ctx: CheckContext) -> CheckResult:
     """Energy never increases when an edge cut is deleted; seeded trials."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(ctx.seed)
     ev = []
     violations = 0
     non_cut_logged = 0
     done = 0
-    while done < trials:
+    while done < ctx.trials:
         n = rng.randint(3, 10)
         g = _random_graph(rng, n, rng.uniform(0.25, 0.8))
         if g.e == 0:
@@ -419,16 +419,16 @@ def check_edge_cut_lemma(trials: int = 500, seed: int = 1729) -> CheckResult:
     ev.append(
         {
             "item": "summary",
-            "trials": trials,
+            "trials": ctx.trials,
             "violations": violations,
-            "seed": seed,
+            "seed": ctx.seed,
             "ok": violations == 0,
         }
     )
     return CheckResult("edge-cut", violations == 0, ev, time.perf_counter() - t0)
 
 
-def check_census_counts() -> CheckResult:
+def check_census_counts(ctx: CheckContext) -> CheckResult:
     """Reference class counts, plus two-strategy agreement on the derived ones."""
     t0 = time.perf_counter()
     ev = []
@@ -469,12 +469,12 @@ CLASS_SPLIT_EXPECTED = {
 }
 
 
-def check_class_split(cache_dir=None) -> CheckResult:
+def check_class_split(ctx: CheckContext) -> CheckResult:
     """Class-1/class-2 split of bicyclic censuses under both disjointness readings."""
     t0 = time.perf_counter()
     ev = []
     for (n, e), want in sorted(CLASS_SPLIT_EXPECTED.items()):
-        census = get_census(n, e, cache_dir)
+        census = get_census(n, e, ctx.cache_dir)
         class2 = 0
         edge_extra = 0
         witness_ok = True
@@ -520,12 +520,12 @@ def check_class_split(cache_dir=None) -> CheckResult:
     return CheckResult("class-split", passed, ev, time.perf_counter() - t0)
 
 
-def check_dual_energy(classes=((4, 4), (5, 6), (6, 8), (7, 10))) -> CheckResult:
+def check_dual_energy(ctx: CheckContext) -> CheckResult:
     """Eigenvalue energy versus contour-integral energy over whole censuses."""
     t0 = time.perf_counter()
     ev = []
     worst = 0.0
-    censuses = [enumerate_connected(n, e) for n, e in classes]
+    censuses = [get_census(n, e, ctx.cache_dir) for n, e in DUAL_ENERGY_CLASSES]
     # one pass over every class; each census below takes its own spectra in turn
     specs = iter(spectra([g for census in censuses for g in census.members()]))
     for census in censuses:
@@ -568,23 +568,12 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, **kwargs) -> list[CheckResult]:
+def run_checks(names=None, ctx: CheckContext = CheckContext()) -> list[CheckResult]:
     selected = list(CHECKS) if not names or names == ["all"] else list(names)
     unknown = [x for x in selected if x not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check(s): {', '.join(unknown)}")
-    results = []
-    for name in selected:
-        fn = CHECKS[name]
-        results.append(fn(**_filter_kwargs(fn, kwargs)))
-    return results
-
-
-def _filter_kwargs(fn, kwargs):
-    import inspect
-
-    params = inspect.signature(fn).parameters
-    return {k: v for k, v in kwargs.items() if k in params and v is not None}
+    return [CHECKS[name](ctx) for name in selected]
 
 
 def render_text(results: list[CheckResult]) -> str:

@@ -25,11 +25,11 @@ from graphenergy import (
     make_s_graph,
     poly_mul,
 )
-from graphenergy.census import _memo
 from graphenergy.classify import is_bipartite
 from graphenergy.graphs import FamilySpec
 from graphenergy.verify import (
     DERIVED_CLASS_COUNTS,
+    CheckContext,
     KNOWN_CLASS_COUNTS,
     check_edge_cut_lemma,
     check_family_inequalities,
@@ -100,22 +100,22 @@ def test_criterion_2_reference_energies():
 
 def test_criterion_3_bicyclic_theorem():
     with criterion(3, "bicyclic minimal families, n = 4..9, under 60 s"):
-        result = check_theorem_bicyclic()
+        result = check_theorem_bicyclic(CheckContext())
         assert result.passed, result.failures()
         assert result.runtime < 60, f"took {result.runtime:.1f}s"
 
 
 def test_criterion_4_tricyclic_theorem():
     with criterion(4, "tricyclic minimal families, n = 4..9, under 60 s"):
-        result = check_theorem_tricyclic()
+        result = check_theorem_tricyclic(CheckContext())
         assert result.passed, result.failures()
         assert result.runtime < 60, f"took {result.runtime:.1f}s"
 
 
 def test_criterion_5_tetracyclic_theorem():
     with criterion(5, "tetracyclic minimal families, n = 5..9, under 10 min"):
-        _memo.clear()  # time the full work including the (9,12) enumeration
-        result = check_theorem_tetracyclic()
+        enumerate_connected.cache_clear()  # time the full work incl. the (9,12) enumeration
+        result = check_theorem_tetracyclic(CheckContext())
         assert result.passed, result.failures()
         assert result.runtime < 600, f"took {result.runtime:.1f}s"
 
@@ -138,7 +138,7 @@ def test_criterion_7_inequality_suite():
     with criterion(7, "family inequality suite, n = 6..40 sampled"):
         ns = default_inequality_range()
         assert max(ns) == 40 and min(ns) == 6
-        result = check_family_inequalities()
+        result = check_family_inequalities(CheckContext())
         assert result.passed, result.failures()
         assert len(result.evidence) > 150
 
@@ -184,7 +184,7 @@ def test_criterion_8_property_suites():
         print(f"  bipartite symmetry: {checked} census members")
 
         # edge-cut monotonicity, 500 seeded trials, zero violations
-        result = check_edge_cut_lemma(trials=500, seed=1729)
+        result = check_edge_cut_lemma(CheckContext(seed=1729, trials=500))
         assert result.passed, result.failures()
         print("  edge-cut monotonicity: 500 seeded trials, 0 violations")
 

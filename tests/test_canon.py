@@ -130,11 +130,6 @@ class TestAutOrder:
             h = nx.from_numpy_array(g.adjacency_matrix())
             assert aut_order(g) == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
 
-    def test_via_canonical_label_flag(self):
-        form = canonical_label(make_complete(4), with_aut_order=True)
-        assert form.aut_order == 24
-        assert canonical_label(make_complete(4)).aut_order is None
-
 
 def test_aut_order_of_component_wreath():
     # three triangle components: each contributes |Aut(C3)| = 6, and the

@@ -8,11 +8,14 @@ from graphenergy import (
     census_cache_load,
     census_cache_store,
     enumerate_connected,
+    family_graph,
     get_census,
     graph6_decode,
 )
+from graphenergy.cli import main
 from graphenergy.census import (
     GENERATOR_VERSION,
+    _digest,
     _generate_orderly,
     _generate_vertex_aug,
 )
@@ -30,9 +33,40 @@ KNOWN = {
 }
 
 
+# sha256 of each theorem class's census file, one canonical graph6 line each,
+# frozen from the generator before it returned strings
+THEOREM_CLASS_DIGESTS = {
+    (4, 5): "0bf45b40fedf183b8a862603613d656cdff05d5d1c22491e172c07af2fb17d94",
+    (4, 6): "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
+    (5, 6): "49b4760c160e73257c52dc7acbfc2c8a5aeccdb5ba0fb955dd890f605bc780ca",
+    (5, 7): "c2dcad81a5e37c4cfcdc8331442881ffa759b864fe126564ed73937e7171dd4b",
+    (5, 8): "01c1079bd8d60bedc6f35e17fd7d75b3b0683c1e50424f22a5f6fd166844493c",
+    (6, 7): "ff63c1485bcfd6dbd00a97249fc1a04ec66147f79687d1c1c6cbc148bb8ab3c7",
+    (6, 8): "e42f59840652574dbb7b9f77b4cf2755403caaa8dd2ab072436eeb1ab321cfc7",
+    (6, 9): "f23138bcc820da00ebc802f9c6f3d857268cb04168fcdffb45e5e6113ba9c808",
+    (7, 8): "4746626abe0a25e803f0d3e0d3c1823d51cf9d5b2fac684fef1c1de98d8f2144",
+    (7, 9): "858cae3059d9d692487f9ec89a644a88740c84ff4c44959fa967754550ed4c7f",
+    (7, 10): "2abdee7c5429c14050eb3e932503019b9876492c4b4189f45ffce24e18489b34",
+    (8, 9): "b2feac0aeea5036d34966b7819de79371a1b1f91e6a183e55095ac4a14045baf",
+    (8, 10): "dc0f3d531d18b491acba9090b2fdbcd2d72e32ca7cdc548d6c190f2cdc6f6f2d",
+    (8, 11): "b9a96fb06bc3e5c43d5978402bafab542d7e53e9d9942227012d7acad07cdd8d",
+    (9, 10): "15475f973f3e7190bddc881028621a7dce553eebc48f1fb0d5f81006df0bfc84",
+    (9, 11): "6a1c85bc195bb9a774f763e5e7046ee440e32c3763987b1b0f4684a4d4a90f48",
+    (9, 12): "e205401d270a740142eaa9230354aca5a1e969a914937820a81a9aa559498809",
+}
+
+
 @pytest.mark.parametrize("n,e", sorted(KNOWN))
 def test_known_counts(n, e):
     assert len(enumerate_connected(n, e)) == KNOWN[(n, e)]
+
+
+@pytest.mark.parametrize("n,e", sorted(THEOREM_CLASS_DIGESTS))
+def test_census_bytes_are_pinned(n, e):
+    want = THEOREM_CLASS_DIGESTS[(n, e)]
+    assert _digest(enumerate_connected(n, e).graphs) == want
+    if n <= 8:
+        assert _digest(enumerate_connected(n, e, strategy="vertex").graphs) == want
 
 
 def test_members_are_connected_canonical_and_distinct():
@@ -117,20 +151,26 @@ def test_envelope_errors_fail_loudly():
         enumerate_connected(5, 5, strategy="filter")
 
 
+def _assert_canonical_members(strings, n, e):
+    for s in strings:
+        g = graph6_decode(s)
+        assert (g.n, g.e) == (n, e)
+        assert g.is_connected()
+        assert canonical_label(g).graph6 == s
+
+
 def test_generators_return_exact_parameters():
     for gen in (_generate_orderly, _generate_vertex_aug):
-        for g in gen(5, 6):
-            assert (g.n, g.e) == (5, 6)
-            assert g.is_connected()
+        strings = gen(5, 6)
+        assert len(strings) == KNOWN[(5, 6)]
+        _assert_canonical_members(strings, 5, 6)
 
 
 def test_determinism_across_runs():
-    a = _generate_orderly(6, 8)
-    b = _generate_orderly(6, 8)
-    assert [g.adj for g in a] == [g.adj for g in b]
-    va = _generate_vertex_aug(6, 8)
-    vb = _generate_vertex_aug(6, 8)
-    assert [g.adj for g in va] == [g.adj for g in vb]
+    for gen in (_generate_orderly, _generate_vertex_aug):
+        a = gen(6, 8)
+        assert a == gen(6, 8)
+        _assert_canonical_members(a, 6, 8)
 
 
 class TestCache:
@@ -172,6 +212,53 @@ class TestCache:
         meta.write_text((tmp_path / "census_n5_e6.meta").read_text())
         with pytest.raises(CorruptCacheError):
             census_cache_load(5, 7, tmp_path)
+
+    @staticmethod
+    def _rewrite(tmp_path, n, e, edit_lines, version=GENERATOR_VERSION):
+        """Store (n, e), edit its lines and re-sign the sidecar consistently."""
+        path = census_cache_store(enumerate_connected(n, e), tmp_path)
+        lines = edit_lines(path.read_text().splitlines())
+        path.write_text("".join(s + "\n" for s in lines))
+        meta = path.with_suffix(".meta")
+        fields = dict(line.split(": ", 1) for line in meta.read_text().splitlines())
+        fields.update(count=len(lines), sha256=_digest(lines), generator_version=version)
+        meta.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+
+    def test_resigned_edits_load_when_unchanged(self, tmp_path):
+        self._rewrite(tmp_path, 6, 9, lambda lines: lines)
+        assert census_cache_load(6, 9, tmp_path).graphs == enumerate_connected(6, 9).graphs
+
+    def test_foreign_generator_version_is_corrupt(self, tmp_path):
+        self._rewrite(tmp_path, 6, 9, lambda lines: lines, version="bogus/0")
+        with pytest.raises(CorruptCacheError, match="bogus/0"):
+            census_cache_load(6, 9, tmp_path)
+
+    def test_reordered_file_is_corrupt_despite_digest(self, tmp_path):
+        self._rewrite(tmp_path, 6, 9, lambda lines: lines[1:] + lines[:1])
+        with pytest.raises(CorruptCacheError, match="sorted"):
+            census_cache_load(6, 9, tmp_path)
+
+    def test_duplicated_member_is_corrupt_despite_digest(self, tmp_path):
+        self._rewrite(tmp_path, 6, 9, lambda lines: lines[:1] + lines[:-1])
+        with pytest.raises(CorruptCacheError, match="sorted"):
+            census_cache_load(6, 9, tmp_path)
+
+    def test_tamper_probe_is_an_io_error_not_a_verdict(self, tmp_path, capsys):
+        # K3,3 in (6,9) swapped for a (6,8) graph under a foreign generator
+        # version: without the load checks `verify` reads it as a failed theorem
+        k33 = canonical_label(family_graph("Kb 3 3")).graph6
+        swap = enumerate_connected(6, 8).graphs[0]
+
+        def tamper(lines):
+            assert k33 in lines
+            return [swap if s == k33 else s for s in lines]
+
+        self._rewrite(tmp_path, 6, 9, tamper, version="bogus/0")
+        code = main(["--cache-dir", str(tmp_path), "verify", "--check", "tetracyclic"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "bogus/0" in captured.err
+        assert captured.out == ""
 
     def test_get_census_generates_then_hits_cache(self, tmp_path):
         first = get_census(5, 7, tmp_path)

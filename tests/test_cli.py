@@ -248,13 +248,25 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
-        def always_fails(**kwargs):
+        def always_fails(ctx):
             return CheckResult("doomed", False, [{"item": "x", "ok": False}], 0.0)
 
         monkeypatch.setitem(verify_mod.CHECKS, "doomed", always_fails)
         code, out, _ = run(capsys, "verify", "--check", "doomed")
         assert code == 1
         assert "doomed: FAIL" in out
+
+    def test_dual_energy_reads_the_census_cache(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "--cache-dir", str(tmp_path), "verify", "--check", "dual-energy"
+        )
+        assert code == 0
+        assert "dual-energy: PASS" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"census_n{n}_e{e}.{ext}"
+            for n, e in ((4, 4), (5, 6), (6, 8), (7, 10))
+            for ext in ("g6", "meta")
+        ]
 
     def test_csv_summary(self, capsys):
         code, out, _ = run(

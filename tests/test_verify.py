@@ -18,6 +18,7 @@ import graphenergy.spectral as spectral_mod
 from graphenergy.census import enumerate_connected
 from graphenergy.verify import (
     ENERGY_TIE_TOL,
+    CheckContext,
     CheckResult,
     check_class_split,
     check_closed_forms,
@@ -26,6 +27,7 @@ from graphenergy.verify import (
     check_theorem_bicyclic,
     check_theorem_tetracyclic,
     check_theorem_tricyclic,
+    DUAL_ENERGY_CLASSES,
     _digest_poly,
     render_json,
     render_text,
@@ -41,15 +43,12 @@ class TestRankClass:
     def test_6_9_minimal_and_second(self):
         report = rank_class(6, 9)
         assert report.minimal.graph6 == canonical_label(family_graph("Kb 3 3")).graph6
-        assert report.nth(1).graph6 == canonical_label(family_graph("S 6 9")).graph6
+        assert report.entries[1].graph6 == canonical_label(family_graph("S 6 9")).graph6
 
     def test_6_7_minimal_and_third(self):
         report = rank_class(6, 7)
         assert report.minimal.graph6 == canonical_label(family_graph("B 6 7")).graph6
-        assert report.third_minimal.graph6 == canonical_label(
-            family_graph("S 6 7")
-        ).graph6
-        assert report.second_minimal.graph6 == report.nth(1).graph6
+        assert report.entries[2].graph6 == canonical_label(family_graph("S 6 7")).graph6
 
     def test_ordering_and_length_invariants(self):
         report = rank_class(6, 8)
@@ -106,27 +105,27 @@ class TestRankClass:
             check_theorem_tricyclic,
             check_theorem_tetracyclic,
         ):
-            for row in check().evidence:
+            for row in check(CheckContext()).evidence:
                 gap = row.get("gap_to_next")
                 assert gap is None or gap > 1e-3
 
 
 class TestChecks:
     def test_closed_forms_pass(self):
-        result = check_closed_forms()
+        result = check_closed_forms(CheckContext())
         assert result.passed
         assert any(row["item"] == "b4-correction" for row in result.evidence)
 
     def test_edge_cut_lemma_small_run(self):
-        result = check_edge_cut_lemma(trials=60, seed=7)
+        result = check_edge_cut_lemma(CheckContext(seed=7, trials=60))
         assert result.passed
         summary = result.evidence[-1]
         assert summary["trials"] == 60
         assert summary["violations"] == 0
 
     def test_edge_cut_lemma_deterministic_in_seed(self):
-        a = check_edge_cut_lemma(trials=40, seed=3)
-        b = check_edge_cut_lemma(trials=40, seed=3)
+        a = check_edge_cut_lemma(CheckContext(seed=3, trials=40))
+        b = check_edge_cut_lemma(CheckContext(seed=3, trials=40))
         assert [r for r in a.evidence] == [r for r in b.evidence]
 
     def test_deleting_every_edge_never_raises_energy(self):
@@ -136,12 +135,14 @@ class TestChecks:
         assert energy(g) >= 0.0
 
     def test_class_split_frozen_counts(self):
-        result = check_class_split()
+        result = check_class_split(CheckContext())
         assert result.passed
 
     def test_dual_energy_small(self):
-        result = check_dual_energy(classes=((5, 6), (6, 7)))
+        result = check_dual_energy(CheckContext())
         assert result.passed
+        classes = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "dual-energy-class"]
+        assert classes == list(DUAL_ENERGY_CLASSES)
 
     def test_run_checks_rejects_unknown(self):
         with pytest.raises(KeyError):
