@@ -16,7 +16,9 @@ graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
 its VF2 isomorphism test.
 
 Census members are canonical graph6 strings, sorted, so cache files diff
-cleanly and reports are stable.
+cleanly and reports are stable. ``PINNED`` freezes the count and digest of
+every class the checks rank or count; a cache load and the ``census`` check
+compare against it.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import datetime as _dt
 import functools
 import hashlib
 import itertools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .canon import canonical_g6, canonical_rows
-from .errors import CacheMissError, CorruptCacheError, ScaleError
+from .errors import CacheMissError, CorruptCacheError, Graph6ParseError, ScaleError
 from .graph6 import encode_rows, graph6_decode
 from .graphs import Graph, dsu_find
 
@@ -37,6 +40,33 @@ GENERATOR_VERSION = "graphenergy-census/1"
 
 MAX_ENUM_VERTICES = 10
 MAX_ENUM_EXCESS = 3  # e <= n + 3
+
+# (n, e) -> (member count, census_digest of the sorted canonical strings) for
+# the 17 classes of the bicyclic, tricyclic and tetracyclic theorems plus
+# (4,4) and (5,5). Frozen after edge/vertex strategy agreement; the counts
+# match OEIS A054924. A census that differs from its pin is wrong, whatever
+# produced it.
+PINNED = {
+    (4, 4): (2, "e70d0519e357d24966e186465cffca5e8f845533f09199ea76820f0641eb8bec"),
+    (4, 5): (1, "0bf45b40fedf183b8a862603613d656cdff05d5d1c22491e172c07af2fb17d94"),
+    (4, 6): (1, "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b"),
+    (5, 5): (5, "97f465f9f6fb53fba7f982f6877e8f411fa9957ea16dc85e0c96a0efa22d3063"),
+    (5, 6): (5, "49b4760c160e73257c52dc7acbfc2c8a5aeccdb5ba0fb955dd890f605bc780ca"),
+    (5, 7): (4, "c2dcad81a5e37c4cfcdc8331442881ffa759b864fe126564ed73937e7171dd4b"),
+    (5, 8): (2, "01c1079bd8d60bedc6f35e17fd7d75b3b0683c1e50424f22a5f6fd166844493c"),
+    (6, 7): (19, "ff63c1485bcfd6dbd00a97249fc1a04ec66147f79687d1c1c6cbc148bb8ab3c7"),
+    (6, 8): (22, "e42f59840652574dbb7b9f77b4cf2755403caaa8dd2ab072436eeb1ab321cfc7"),
+    (6, 9): (20, "f23138bcc820da00ebc802f9c6f3d857268cb04168fcdffb45e5e6113ba9c808"),
+    (7, 8): (67, "4746626abe0a25e803f0d3e0d3c1823d51cf9d5b2fac684fef1c1de98d8f2144"),
+    (7, 9): (107, "858cae3059d9d692487f9ec89a644a88740c84ff4c44959fa967754550ed4c7f"),
+    (7, 10): (132, "2abdee7c5429c14050eb3e932503019b9876492c4b4189f45ffce24e18489b34"),
+    (8, 9): (236, "b2feac0aeea5036d34966b7819de79371a1b1f91e6a183e55095ac4a14045baf"),
+    (8, 10): (486, "dc0f3d531d18b491acba9090b2fdbcd2d72e32ca7cdc548d6c190f2cdc6f6f2d"),
+    (8, 11): (814, "b9a96fb06bc3e5c43d5978402bafab542d7e53e9d9942227012d7acad07cdd8d"),
+    (9, 10): (797, "15475f973f3e7190bddc881028621a7dce553eebc48f1fb0d5f81006df0bfc84"),
+    (9, 11): (2075, "6a1c85bc195bb9a774f763e5e7046ee440e32c3763987b1b0f4684a4d4a90f48"),
+    (9, 12): (4495, "e205401d270a740142eaa9230354aca5a1e969a914937820a81a9aa559498809"),
+}
 
 
 @dataclass(frozen=True)
@@ -177,6 +207,17 @@ _STRATEGIES = {
 }
 
 
+def _check_envelope(n: int, e: int) -> None:
+    if n < 1 or n > MAX_ENUM_VERTICES:
+        raise ScaleError(
+            f"enumeration supports 1 <= n <= {MAX_ENUM_VERTICES}, got n={n}"
+        )
+    if e < 0 or e > n + MAX_ENUM_EXCESS:
+        raise ScaleError(
+            f"enumeration supports 0 <= e <= n+{MAX_ENUM_EXCESS}, got e={e} for n={n}"
+        )
+
+
 @functools.cache
 def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClassCensus:
     """Census of connected (n,e)-graphs, one canonical representative each.
@@ -187,14 +228,7 @@ def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClass
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if n < 1 or n > MAX_ENUM_VERTICES:
-        raise ScaleError(
-            f"enumeration supports 1 <= n <= {MAX_ENUM_VERTICES}, got n={n}"
-        )
-    if e < 0 or e > n + MAX_ENUM_EXCESS:
-        raise ScaleError(
-            f"enumeration supports 0 <= e <= n+{MAX_ENUM_EXCESS}, got e={e} for n={n}"
-        )
+    _check_envelope(n, e)
     strings = tuple(sorted(_STRATEGIES[strategy](n, e)))
     if len(set(strings)) != len(strings):
         raise RuntimeError(f"duplicate canonical forms in ({n},{e}) census")
@@ -215,7 +249,8 @@ def _census_paths(directory: Path, n: int, e: int) -> tuple[Path, Path]:
     return base.with_suffix(".g6"), base.with_suffix(".meta")
 
 
-def _digest(strings) -> str:
+def census_digest(strings) -> str:
+    """SHA-256 of a census file: one string per line, newline-terminated."""
     h = hashlib.sha256()
     for s in strings:
         h.update(s.encode("ascii"))
@@ -223,38 +258,71 @@ def _digest(strings) -> str:
     return h.hexdigest()
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: a temp file, then os.replace."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def census_cache_store(census: GraphClassCensus, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     g6_path, meta_path = _census_paths(directory, census.n, census.e)
-    g6_path.write_text("".join(s + "\n" for s in census.graphs), encoding="utf-8")
     meta = {
         "n": census.n,
         "e": census.e,
         "count": len(census.graphs),
-        "sha256": _digest(census.graphs),
+        "sha256": census_digest(census.graphs),
         "generated_at": census.generated_at,
         "generator_version": census.generator_version,
     }
-    meta_path.write_text(
-        "".join(f"{k}: {v}\n" for k, v in meta.items()), encoding="utf-8"
-    )
+    # data first, sidecar last: a store cut in between leaves no sidecar (a
+    # miss) or the old one, which matches since censuses are deterministic
+    _replace_file(g6_path, "".join(s + "\n" for s in census.graphs))
+    _replace_file(meta_path, "".join(f"{k}: {v}\n" for k, v in meta.items()))
     return g6_path
 
 
+def _check_members(strings: tuple[str, ...], n: int, e: int, g6_path: Path) -> None:
+    """Reject any string that is not a canonical connected (n,e)-graph."""
+    for s in strings:
+        try:
+            g = graph6_decode(s)
+        except (Graph6ParseError, ScaleError) as exc:
+            raise CorruptCacheError(f"cache {g6_path} holds undecodable {s!r}") from exc
+        if (g.n, g.e) != (n, e) or not g.is_connected() or canonical_g6(n, g.adj) != s:
+            raise CorruptCacheError(
+                f"cache {g6_path} holds {s!r}, not a canonical connected ({n},{e})-graph"
+            )
+
+
 def census_cache_load(n: int, e: int, directory) -> GraphClassCensus:
+    """Cached census of (n, e).
+
+    Raises ``ScaleError`` outside the enumeration envelope, ``CacheMissError``
+    when no file pair exists, and ``CorruptCacheError`` when a load check
+    fails (see the README's "Enumeration" section).
+    """
+    _check_envelope(n, e)
     directory = Path(directory)
     g6_path, meta_path = _census_paths(directory, n, e)
     if not g6_path.exists() or not meta_path.exists():
         raise CacheMissError(f"no cached census for ({n},{e}) under {directory}")
+    try:
+        meta_lines = meta_path.read_text(encoding="utf-8").splitlines()
+        lines = g6_path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorruptCacheError(f"cache {g6_path} or its sidecar is not text: {exc}") from exc
     meta: dict[str, str] = {}
-    for line in meta_path.read_text(encoding="utf-8").splitlines():
+    for line in meta_lines:
         if ":" in line:
             k, v = line.split(":", 1)
             meta[k.strip()] = v.strip()
-    strings = tuple(
-        s for s in g6_path.read_text(encoding="utf-8").splitlines() if s.strip()
-    )
+    strings = tuple(s for s in lines if s.strip())
     try:
         count = int(meta["count"])
         want_digest = meta["sha256"]
@@ -267,7 +335,8 @@ def census_cache_load(n: int, e: int, directory) -> GraphClassCensus:
         raise CorruptCacheError(
             f"cache {g6_path} holds {len(strings)} graphs, sidecar says {count}"
         )
-    if _digest(strings) != want_digest:
+    digest = census_digest(strings)
+    if digest != want_digest:
         raise CorruptCacheError(f"cache {g6_path} failed its digest check")
     version = meta.get("generator_version", "")
     if version != GENERATOR_VERSION:
@@ -277,6 +346,13 @@ def census_cache_load(n: int, e: int, directory) -> GraphClassCensus:
     # a re-signed digest would hide a reordered or repeated line
     if any(a >= b for a, b in zip(strings, strings[1:])):
         raise CorruptCacheError(f"cache {g6_path} is not strictly sorted")
+    # the sidecar signs itself; only the pin, or for an unpinned class the
+    # members themselves, show that the strings are the census
+    pin = PINNED.get((n, e))
+    if pin is None:
+        _check_members(strings, n, e, g6_path)
+    elif (len(strings), digest) != pin:
+        raise CorruptCacheError(f"cache {g6_path} is not the pinned ({n},{e}) census")
     return GraphClassCensus(
         n=n,
         e=e,

@@ -41,7 +41,14 @@ class CacheMissError(GraphEnergyError, LookupError):
 
 
 class CorruptCacheError(GraphEnergyError, RuntimeError):
-    """A census cache file failed its count or digest integrity check."""
+    """A census cache file failed a load check.
+
+    Raised when a file does not decode as text, the sidecar is malformed or
+    names another class, the count, digest or generator version disagrees
+    with it, the lines are not strictly sorted, a pinned class differs from
+    its pin, or a member of an unpinned class is not a canonical connected
+    graph of that class.
+    """
 
 
 class QuadratureAccuracyError(GraphEnergyError, ArithmeticError):

@@ -25,12 +25,12 @@ from graphenergy import (
     make_s_graph,
     poly_mul,
 )
+from graphenergy.census import PINNED
 from graphenergy.classify import is_bipartite
 from graphenergy.graphs import FamilySpec
 from graphenergy.verify import (
-    DERIVED_CLASS_COUNTS,
     CheckContext,
-    KNOWN_CLASS_COUNTS,
+    check_census_counts,
     check_edge_cut_lemma,
     check_family_inequalities,
     check_theorem_bicyclic,
@@ -40,13 +40,7 @@ from graphenergy.verify import (
 )
 
 # every census any criterion touches; criterion 8 sweeps all of them
-ALL_CLASSES = sorted(
-    set(KNOWN_CLASS_COUNTS)
-    | set(DERIVED_CLASS_COUNTS)
-    | {(4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10)}
-    | {(4, 6), (5, 7), (6, 8), (7, 9), (8, 10), (9, 11)}
-    | {(5, 8), (6, 9), (7, 10)}
-)
+ALL_CLASSES = sorted(PINNED)
 
 
 @contextmanager
@@ -61,22 +55,12 @@ def criterion(num: int, desc: str):
 
 
 def test_criterion_1_census_counts():
-    with criterion(1, "census counts incl. derived two-strategy agreement"):
-        for (n, e), want in sorted(KNOWN_CLASS_COUNTS.items()):
-            t0 = time.time()
-            got = len(enumerate_connected(n, e))
-            assert got == want, f"({n},{e}): got {got}, expected {want}"
-            print(f"  ({n},{e}) -> {got} [{time.time() - t0:.2f}s]")
-        for (n, e), want in sorted(DERIVED_CLASS_COUNTS.items()):
-            t0 = time.time()
-            edge = enumerate_connected(n, e)
-            vertex = enumerate_connected(n, e, strategy="vertex")
-            assert len(edge) == len(vertex) == want
-            assert edge.graphs == vertex.graphs
-            print(
-                f"  ({n},{e}) -> {want} by both strategies "
-                f"[{time.time() - t0:.2f}s]"
-            )
+    with criterion(1, "pinned census counts and digests, two-strategy agreement"):
+        result = check_census_counts(CheckContext())
+        assert result.passed, result.failures()
+        assert [(row["n"], row["e"]) for row in result.evidence] == sorted(PINNED)
+        agreed = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "derived-count"]
+        assert agreed == [(8, 11), (9, 12)]
 
 
 def test_criterion_2_reference_energies():

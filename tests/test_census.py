@@ -1,8 +1,15 @@
+import dataclasses
+import itertools
+import os
+from pathlib import Path
+
 import pytest
 
 from graphenergy import (
     CacheMissError,
     CorruptCacheError,
+    Graph,
+    GraphClassCensus,
     ScaleError,
     canonical_label,
     census_cache_load,
@@ -11,11 +18,13 @@ from graphenergy import (
     family_graph,
     get_census,
     graph6_decode,
+    graph6_encode,
 )
 from graphenergy.cli import main
 from graphenergy.census import (
     GENERATOR_VERSION,
-    _digest,
+    PINNED,
+    census_digest,
     _generate_orderly,
     _generate_vertex_aug,
 )
@@ -33,26 +42,29 @@ KNOWN = {
 }
 
 
-# sha256 of each theorem class's census file, one canonical graph6 line each,
-# frozen from the generator before it returned strings
-THEOREM_CLASS_DIGESTS = {
-    (4, 5): "0bf45b40fedf183b8a862603613d656cdff05d5d1c22491e172c07af2fb17d94",
-    (4, 6): "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
-    (5, 6): "49b4760c160e73257c52dc7acbfc2c8a5aeccdb5ba0fb955dd890f605bc780ca",
-    (5, 7): "c2dcad81a5e37c4cfcdc8331442881ffa759b864fe126564ed73937e7171dd4b",
-    (5, 8): "01c1079bd8d60bedc6f35e17fd7d75b3b0683c1e50424f22a5f6fd166844493c",
-    (6, 7): "ff63c1485bcfd6dbd00a97249fc1a04ec66147f79687d1c1c6cbc148bb8ab3c7",
-    (6, 8): "e42f59840652574dbb7b9f77b4cf2755403caaa8dd2ab072436eeb1ab321cfc7",
-    (6, 9): "f23138bcc820da00ebc802f9c6f3d857268cb04168fcdffb45e5e6113ba9c808",
-    (7, 8): "4746626abe0a25e803f0d3e0d3c1823d51cf9d5b2fac684fef1c1de98d8f2144",
-    (7, 9): "858cae3059d9d692487f9ec89a644a88740c84ff4c44959fa967754550ed4c7f",
-    (7, 10): "2abdee7c5429c14050eb3e932503019b9876492c4b4189f45ffce24e18489b34",
-    (8, 9): "b2feac0aeea5036d34966b7819de79371a1b1f91e6a183e55095ac4a14045baf",
-    (8, 10): "dc0f3d531d18b491acba9090b2fdbcd2d72e32ca7cdc548d6c190f2cdc6f6f2d",
-    (8, 11): "b9a96fb06bc3e5c43d5978402bafab542d7e53e9d9942227012d7acad07cdd8d",
-    (9, 10): "15475f973f3e7190bddc881028621a7dce553eebc48f1fb0d5f81006df0bfc84",
-    (9, 11): "6a1c85bc195bb9a774f763e5e7046ee440e32c3763987b1b0f4684a4d4a90f48",
-    (9, 12): "e205401d270a740142eaa9230354aca5a1e969a914937820a81a9aa559498809",
+# (count, sha256 of the census file, one canonical graph6 line each) for the
+# 17 theorem classes and (4,4), (5,5); the digests were frozen from the
+# generator before it returned strings. An independent copy of census.PINNED.
+PINNED_CENSUSES = {
+    (4, 4): (2, "e70d0519e357d24966e186465cffca5e8f845533f09199ea76820f0641eb8bec"),
+    (4, 5): (1, "0bf45b40fedf183b8a862603613d656cdff05d5d1c22491e172c07af2fb17d94"),
+    (4, 6): (1, "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b"),
+    (5, 5): (5, "97f465f9f6fb53fba7f982f6877e8f411fa9957ea16dc85e0c96a0efa22d3063"),
+    (5, 6): (5, "49b4760c160e73257c52dc7acbfc2c8a5aeccdb5ba0fb955dd890f605bc780ca"),
+    (5, 7): (4, "c2dcad81a5e37c4cfcdc8331442881ffa759b864fe126564ed73937e7171dd4b"),
+    (5, 8): (2, "01c1079bd8d60bedc6f35e17fd7d75b3b0683c1e50424f22a5f6fd166844493c"),
+    (6, 7): (19, "ff63c1485bcfd6dbd00a97249fc1a04ec66147f79687d1c1c6cbc148bb8ab3c7"),
+    (6, 8): (22, "e42f59840652574dbb7b9f77b4cf2755403caaa8dd2ab072436eeb1ab321cfc7"),
+    (6, 9): (20, "f23138bcc820da00ebc802f9c6f3d857268cb04168fcdffb45e5e6113ba9c808"),
+    (7, 8): (67, "4746626abe0a25e803f0d3e0d3c1823d51cf9d5b2fac684fef1c1de98d8f2144"),
+    (7, 9): (107, "858cae3059d9d692487f9ec89a644a88740c84ff4c44959fa967754550ed4c7f"),
+    (7, 10): (132, "2abdee7c5429c14050eb3e932503019b9876492c4b4189f45ffce24e18489b34"),
+    (8, 9): (236, "b2feac0aeea5036d34966b7819de79371a1b1f91e6a183e55095ac4a14045baf"),
+    (8, 10): (486, "dc0f3d531d18b491acba9090b2fdbcd2d72e32ca7cdc548d6c190f2cdc6f6f2d"),
+    (8, 11): (814, "b9a96fb06bc3e5c43d5978402bafab542d7e53e9d9942227012d7acad07cdd8d"),
+    (9, 10): (797, "15475f973f3e7190bddc881028621a7dce553eebc48f1fb0d5f81006df0bfc84"),
+    (9, 11): (2075, "6a1c85bc195bb9a774f763e5e7046ee440e32c3763987b1b0f4684a4d4a90f48"),
+    (9, 12): (4495, "e205401d270a740142eaa9230354aca5a1e969a914937820a81a9aa559498809"),
 }
 
 
@@ -61,12 +73,18 @@ def test_known_counts(n, e):
     assert len(enumerate_connected(n, e)) == KNOWN[(n, e)]
 
 
-@pytest.mark.parametrize("n,e", sorted(THEOREM_CLASS_DIGESTS))
+@pytest.mark.parametrize("n,e", sorted(PINNED_CENSUSES))
 def test_census_bytes_are_pinned(n, e):
-    want = THEOREM_CLASS_DIGESTS[(n, e)]
-    assert _digest(enumerate_connected(n, e).graphs) == want
+    want = PINNED_CENSUSES[(n, e)]
+    census = enumerate_connected(n, e)
+    assert (len(census), census_digest(census.graphs)) == want
     if n <= 8:
-        assert _digest(enumerate_connected(n, e, strategy="vertex").graphs) == want
+        census = enumerate_connected(n, e, strategy="vertex")
+        assert (len(census), census_digest(census.graphs)) == want
+
+
+def test_library_pins_equal_the_literal_pins():
+    assert PINNED == PINNED_CENSUSES
 
 
 def test_members_are_connected_canonical_and_distinct():
@@ -221,7 +239,7 @@ class TestCache:
         path.write_text("".join(s + "\n" for s in lines))
         meta = path.with_suffix(".meta")
         fields = dict(line.split(": ", 1) for line in meta.read_text().splitlines())
-        fields.update(count=len(lines), sha256=_digest(lines), generator_version=version)
+        fields.update(count=len(lines), sha256=census_digest(lines), generator_version=version)
         meta.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
 
     def test_resigned_edits_load_when_unchanged(self, tmp_path):
@@ -259,6 +277,140 @@ class TestCache:
         assert code == 3
         assert "bogus/0" in captured.err
         assert captured.out == ""
+
+    def test_resigned_swap_is_an_io_error_not_a_verdict(self, tmp_path, capsys):
+        # the same swap, kept sorted and signed with the real generator
+        # version: only the pinned digest tells it from the census
+        k33 = canonical_label(family_graph("Kb 3 3")).graph6
+        swap = enumerate_connected(6, 8).graphs[0]
+        self._rewrite(tmp_path, 6, 9, lambda lines: sorted(swap if s == k33 else s for s in lines))
+        code = main(["--cache-dir", str(tmp_path), "verify", "--check", "tetracyclic"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "pinned" in captured.err
+        assert captured.out == ""
+
+    def test_resigned_edit_cannot_make_a_false_ranking(self, tmp_path, capsys):
+        # the mirror image: the true minimum of (7,10) replaced by a
+        # disconnected (7,10)-graph, so `rank` would report another graph
+        minimal = canonical_label(family_graph("B 7 10")).graph6
+        k5 = canonical_label(Graph.from_edges(7, itertools.combinations(range(5), 2))).graph6
+
+        def tamper(lines):
+            assert minimal in lines
+            return sorted(k5 if s == minimal else s for s in lines)
+
+        self._rewrite(tmp_path, 7, 10, tamper)
+        code = main(["--cache-dir", str(tmp_path), "rank", "7", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "pinned" in captured.err
+        assert captured.out == ""
+
+    def test_unpinned_class_loads_when_its_members_check_out(self, tmp_path):
+        assert (7, 7) not in PINNED
+        census_cache_store(enumerate_connected(7, 7), tmp_path)
+        assert census_cache_load(7, 7, tmp_path).graphs == enumerate_connected(7, 7).graphs
+
+    @staticmethod
+    def _off_canonical(s):
+        g = graph6_decode(s)
+        return next(
+            t for perm in itertools.permutations(range(g.n))
+            if (t := graph6_encode(g.relabeled(perm))) != s
+        )
+
+    @pytest.mark.parametrize(
+        "stranger",
+        [
+            pytest.param(lambda lines: TestCache._off_canonical(lines[0]), id="relabelled"),
+            pytest.param(lambda lines: enumerate_connected(7, 6).graphs[0], id="seven-six"),
+            pytest.param(lambda lines: canonical_label(family_graph("C4 + C3")).graph6,
+                         id="disconnected"),
+            pytest.param(lambda lines: "F?", id="undecodable"),
+        ],
+    )
+    def test_unpinned_class_rejects_a_resigned_stranger(self, tmp_path, capsys, stranger):
+        assert (7, 7) not in PINNED
+
+        def tamper(lines):
+            t = stranger(lines)
+            assert t not in lines
+            return sorted(lines[1:] + [t])
+
+        self._rewrite(tmp_path, 7, 7, tamper)
+        code = main(["--cache-dir", str(tmp_path), "enumerate", "7", "7"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "census_n7_e7.g6" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "suffix,edit",
+        [
+            pytest.param(".g6", lambda raw: raw + b"\xff\xfe\n", id="g6-not-utf8"),
+            pytest.param(".g6", lambda raw: raw.replace(b"\n", "\u00e9\n".encode(), 1),
+                         id="g6-not-ascii"),
+            pytest.param(".meta", lambda raw: raw + b"note: \xff\n", id="meta-not-utf8"),
+        ],
+    )
+    def test_undecodable_bytes_are_an_io_error(self, tmp_path, capsys, suffix, edit):
+        path = census_cache_store(enumerate_connected(5, 6), tmp_path).with_suffix(suffix)
+        path.write_bytes(edit(path.read_bytes()))
+        code = main(["--cache-dir", str(tmp_path), "enumerate", "5", "6"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "not text" in captured.err
+        assert captured.out == ""
+
+    def test_cache_outside_the_envelope_is_a_scale_error(self, tmp_path, capsys):
+        c11 = canonical_label(family_graph("C 11")).graph6
+        census_cache_store(GraphClassCensus(11, 11, (c11,), "", GENERATOR_VERSION), tmp_path)
+        code = main(["--cache-dir", str(tmp_path), "rank", "11", "11"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "n <= 10" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ScaleError):
+            census_cache_load(11, 11, tmp_path)
+
+    @pytest.mark.parametrize("again", [False, True], ids=["first", "again"])
+    def test_store_cut_before_the_sidecar_leaves_a_usable_cache(
+        self, tmp_path, monkeypatch, again
+    ):
+        census = enumerate_connected(6, 9)
+        if again:
+            census_cache_store(census, tmp_path)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".meta"):
+                raise OSError("killed before the sidecar")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="sidecar"):
+            census_cache_store(dataclasses.replace(census, generated_at="later"), tmp_path)
+        monkeypatch.undo()
+        assert get_census(6, 9, tmp_path).graphs == census.graphs
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "census_n6_e9.g6", "census_n6_e9.meta"
+        ]
+
+    def test_store_cut_mid_write_keeps_the_old_cache(self, tmp_path, monkeypatch):
+        census = enumerate_connected(6, 9)
+        census_cache_store(census, tmp_path)
+        real_write_text = Path.write_text
+
+        def write_text(path, text, **kwargs):
+            real_write_text(path, text[: len(text) // 2], **kwargs)
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        with pytest.raises(OSError, match="mid-write"):
+            census_cache_store(census, tmp_path)
+        monkeypatch.undo()
+        assert census_cache_load(6, 9, tmp_path).graphs == census.graphs
 
     def test_get_census_generates_then_hits_cache(self, tmp_path):
         first = get_census(5, 7, tmp_path)

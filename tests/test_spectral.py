@@ -29,9 +29,8 @@ from graphenergy import (
     spectra,
 )
 import graphenergy.spectral as spectral_mod
-from graphenergy.census import enumerate_connected
+from graphenergy.census import PINNED, enumerate_connected
 from graphenergy.classify import is_bipartite
-from graphenergy.verify import DERIVED_CLASS_COUNTS, KNOWN_CLASS_COUNTS
 
 from test_graphs import graph_strategy
 
@@ -86,7 +85,7 @@ class TestCharPoly:
 
 # every census class the checks rank or count, n <= 8, plus the largest one
 _BATCH_CLASSES = sorted(
-    {(n, e) for n, e in {**KNOWN_CLASS_COUNTS, **DERIVED_CLASS_COUNTS} if n <= 8}
+    {(n, e) for n, e in PINNED if n <= 8}
     | {(n, n + k) for n in range(4, 9) for k in (1, 2, 3) if n + k <= n * (n - 1) // 2}
     | {(9, 12)}
 )

@@ -15,11 +15,13 @@ from graphenergy import (
     rank_class,
 )
 import graphenergy.spectral as spectral_mod
-from graphenergy.census import enumerate_connected
+import graphenergy.verify as verify_mod
+from graphenergy.census import PINNED, enumerate_connected
 from graphenergy.verify import (
     ENERGY_TIE_TOL,
     CheckContext,
     CheckResult,
+    check_census_counts,
     check_class_split,
     check_closed_forms,
     check_dual_energy,
@@ -143,6 +145,15 @@ class TestChecks:
         assert result.passed
         classes = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "dual-energy-class"]
         assert classes == list(DUAL_ENERGY_CLASSES)
+
+    def test_census_check_fails_on_a_digest_that_misses_its_pin(self, monkeypatch):
+        count, digest = PINNED[(5, 6)]
+        pins = {(4, 4): PINNED[(4, 4)], (5, 6): (count, digest[::-1])}
+        monkeypatch.setattr(verify_mod, "PINNED", pins)
+        result = check_census_counts(CheckContext())
+        assert not result.passed
+        assert [(r["n"], r["e"], r["actual"], r["digest_matches_pin"], r["ok"])
+                for r in result.evidence] == [(4, 4, 2, True, True), (5, 6, 5, False, False)]
 
     def test_run_checks_rejects_unknown(self):
         with pytest.raises(KeyError):
