@@ -133,13 +133,29 @@ def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
     return best[0], best[1], autos
 
 
+def _canonical_rows_autos(n: int, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical rows plus the automorphisms the search found, in canonical labels.
+
+    They generate a subgroup of the canonical image's automorphism group. An
+    automorphism ``s`` of the input becomes ``t`` with
+    ``t[perm[v]] = perm[s[v]]``, so no second search runs.
+    """
+    if n == 1:
+        return (0,), ()
+    nbrs = [bit_indices(row) for row in rows]
+    cert, perm, autos = _canonical_search(nbrs, n, [0] * n)
+    gens = []
+    for s in autos:
+        t = [0] * n
+        for v in range(n):
+            t[perm[v]] = perm[s[v]]
+        gens.append(tuple(t))
+    return cert, tuple(gens)
+
+
 def canonical_rows(n: int, rows) -> tuple[int, ...]:
     """Adjacency rows of the canonical image; raw-row fast path."""
-    if n == 1:
-        return (0,)
-    nbrs = [bit_indices(row) for row in rows]
-    cert, _, _ = _canonical_search(nbrs, n, [0] * n)
-    return cert
+    return _canonical_rows_autos(n, rows)[0]
 
 
 def canonical_g6(n: int, rows) -> str:

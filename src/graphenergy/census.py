@@ -7,16 +7,22 @@ Two independent generation strategies back every census:
   labelled adjacency code is maximal over all relabellings, and removing the
   last set bit of a maximal code provably yields a maximal code again, so
   every isomorphism class is produced exactly once with no stored dedup.
+  One walk of order n, towards e = n + 3, emits every connected graph it
+  passes, so it fills all the classes of that order at once.
 * ``vertex``: grow connected graphs one vertex (plus its neighbourhood) at a
   time, deduplicating each level by canonical form from the refinement-based
-  labeller. Shares no isomorphism machinery with the orderly path.
+  labeller. Neighbourhoods in one orbit of the automorphisms the labeller
+  found for the parent give isomorphic children, so one per orbit is
+  canonicalised (McKay's isomorph rejection). Shares no isomorphism
+  machinery with the orderly path.
 
 The tests also match every class with n <= 7 one-to-one against the connected
 graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
 its VF2 isomorphism test.
 
 Census members are canonical graph6 strings, sorted, so cache files diff
-cleanly and reports are stable. ``PINNED`` freezes the count and digest of
+cleanly and reports are stable. One memo holds every walk's classes for the
+life of the process. ``PINNED`` freezes the count and digest of
 every class the checks rank or count; a cache load and the ``census`` check
 compare against it.
 """
@@ -31,10 +37,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .canon import canonical_g6, canonical_rows
+from .canon import _canonical_rows_autos, canonical_g6
 from .errors import CacheMissError, CorruptCacheError, Graph6ParseError, ScaleError
 from .graph6 import encode_rows, graph6_decode
-from .graphs import Graph, dsu_find
+from .graphs import Graph, bit_indices, dsu_find
 
 GENERATOR_VERSION = "graphenergy-census/1"
 
@@ -136,26 +142,28 @@ def _is_max_code(rows: list[int], n: int) -> bool:
     return walk(0, 0)
 
 
-def _generate_orderly(n: int, e: int) -> list[str]:
-    """Connected (n,e)-graphs via max-code orderly edge augmentation, as canonical graph6."""
+def _generate_orderly(n: int, e_max: int) -> dict[int, list[str]]:
+    """Connected n-vertex graphs with e edges, as canonical graph6, for every e <= e_max.
+
+    One walk towards e_max fills every class on the way: a connected graph
+    with m <= e_max edges has only max-code ancestors with c components and
+    m' edges where c - 1 <= m - m', so the component prune never cuts it off.
+    """
     pairs = _pair_order(n)
     total_pairs = len(pairs)
-    out: list[str] = []
+    out: dict[int, list[str]] = {m: [] for m in range(e_max + 1)}
 
     def extend(rows: list[int], m: int, last: int, parent: list[int], comps: int):
-        if m == e:
-            if comps == 1:
-                out.append(canonical_g6(n, rows))
+        if comps == 1:
+            out[m].append(canonical_g6(n, rows))
+        if m == e_max:
             return
-        need = e - m
         for p in range(last + 1, total_pairs):
-            if total_pairs - p < need:
-                break
             i, j = pairs[p]
             ri, rj = dsu_find(parent, i), dsu_find(parent, j)
             new_comps = comps - (ri != rj)
-            # every remaining edge can join at most two components
-            if new_comps - 1 > need - 1:
+            # every edge still to come can join at most two components
+            if new_comps - 1 > e_max - m - 1:
                 continue
             rows[i] |= 1 << j
             rows[j] |= 1 << i
@@ -167,38 +175,70 @@ def _generate_orderly(n: int, e: int) -> list[str]:
             rows[i] &= ~(1 << j)
             rows[j] &= ~(1 << i)
 
-    if n - 1 <= e:
+    if n - 1 <= e_max:
         extend([0] * n, 0, -1, list(range(n)), n)
     return out
 
 
-def _generate_vertex_aug(n: int, e: int) -> list[str]:
-    """Connected (n,e)-graphs by vertex augmentation with canonical dedup, as canonical graph6."""
-    # level maps canonical rows -> edge count, for k-vertex connected graphs
-    level: dict[tuple[int, ...], int] = {(0,): 0}
+def _vertex_levels(n: int, e: int):
+    """Each level of vertex augmentation towards (n, e), from one vertex up.
+
+    A level maps the canonical rows of a connected k-vertex graph to its edge
+    count and generators of (a subgroup of) its automorphism group, written
+    in the canonical labelling. Neighbourhood subsets in one orbit of that
+    group give isomorphic children, so only one per orbit is canonicalised
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    """
+    level: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {(0,): (0, ())}
+    yield level
     for k in range(1, n):
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {}
         remaining_after = n - k - 1
         for adj in sorted(level):
-            m = level[adj]
+            m, gens = level[adj]
+            images = [[1 << g[v] for v in range(k)] for g in gens]
             cap = e - m - remaining_after
             if remaining_after == 0:
                 sizes: range | list[int] = [cap] if 1 <= cap <= k else []
             else:
                 sizes = range(1, min(k, cap) + 1)
             for size in sizes:
+                seen: set[int] = set()
                 for subset in itertools.combinations(range(k), size):
                     mask = 0
                     for u in subset:
                         mask |= 1 << u
+                    if mask in seen:
+                        continue
+                    seen.add(mask)
+                    orbit = [mask]
+                    for x in orbit:
+                        bits = bit_indices(x)
+                        for img in images:
+                            y = 0
+                            for v in bits:
+                                y |= img[v]
+                            if y not in seen:
+                                seen.add(y)
+                                orbit.append(y)
                     rows = [
                         row | (1 << k) if mask >> v & 1 else row
                         for v, row in enumerate(adj)
                     ]
                     rows.append(mask)
-                    nxt.setdefault(canonical_rows(k + 1, rows), m + size)
+                    child, child_gens = _canonical_rows_autos(k + 1, rows)
+                    if child not in nxt:
+                        # the last level is never augmented: keep no generators
+                        nxt[child] = (m + size, child_gens if remaining_after else ())
         level = nxt
-    return [encode_rows(n, rows) for rows, m in level.items() if m == e]
+        yield level
+
+
+def _generate_vertex_aug(n: int, e: int) -> dict[int, list[str]]:
+    """Connected (n,e)-graphs by vertex augmentation with canonical dedup, as canonical graph6."""
+    for level in _vertex_levels(n, e):
+        pass  # the census is the last level, of n vertices
+    return {e: [encode_rows(n, rows) for rows, (m, _) in level.items() if m == e]}
 
 
 _STRATEGIES = {
@@ -219,26 +259,35 @@ def _check_envelope(n: int, e: int) -> None:
 
 
 @functools.cache
+def _walk(n: int, top: int, strategy: str) -> dict[int, GraphClassCensus]:
+    """Census of every class of order n that one walk of ``strategy`` towards top fills."""
+    generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+    out = {}
+    for e, found in _STRATEGIES[strategy](n, top).items():
+        strings = tuple(sorted(found))
+        if len(set(strings)) != len(strings):
+            raise RuntimeError(f"duplicate canonical forms in ({n},{e}) census")
+        out[e] = GraphClassCensus(n, e, strings, generated_at, GENERATOR_VERSION)
+    return out
+
+
 def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClassCensus:
     """Census of connected (n,e)-graphs, one canonical representative each.
 
     Supported envelope: n <= 10 and e <= n + 3. Larger requests fail loudly
-    rather than truncating. Censuses are memoised per (n, e, strategy);
-    ``enumerate_connected.cache_clear()`` drops them.
+    rather than truncating. ``edge`` walks order n once, up to e = n + 3, and
+    the memo keeps every class of that walk; ``vertex`` builds one class per
+    walk. ``enumerate_connected.cache_clear()`` drops the memo.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_envelope(n, e)
-    strings = tuple(sorted(_STRATEGIES[strategy](n, e)))
-    if len(set(strings)) != len(strings):
-        raise RuntimeError(f"duplicate canonical forms in ({n},{e}) census")
-    return GraphClassCensus(
-        n=n,
-        e=e,
-        graphs=strings,
-        generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
-        generator_version=GENERATOR_VERSION,
-    )
+    # below n - 1 edges the class is empty and the walk stops at once
+    whole_order = strategy == "edge" and e >= n - 1
+    return _walk(n, n + MAX_ENUM_EXCESS if whole_order else e, strategy)[e]
+
+
+enumerate_connected.cache_clear = _walk.cache_clear
 
 
 # --- on-disk cache ----------------------------------------------------------

@@ -9,26 +9,28 @@ padding bits raise with the byte offset.
 from __future__ import annotations
 
 from .errors import Graph6ParseError, ScaleError
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, bit_indices
 
 _HEADER = ">>graph6<<"
 
 
+# graph6 puts the first bit of each 6-bit group in its most significant place;
+# the integers below keep it in the least, so groups go through this table
+_REVERSED6 = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
+_GROUP_CHARS = [chr(63 + r) for r in _REVERSED6]
+
+
 def encode_rows(n: int, rows) -> str:
     """graph6 encoding straight from adjacency bitmask rows."""
-    bits = []
+    # bit k of ``stream`` is bit k of the column-major upper triangle
+    stream = 0
+    nbits = 0
     for j in range(1, n):
-        col = rows[j]
-        bits.extend((col >> i) & 1 for i in range(j))
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
+        stream |= (rows[j] & ((1 << j) - 1)) << nbits
+        nbits += j
+    return chr(63 + n) + "".join(
+        _GROUP_CHARS[stream >> k & 63] for k in range(0, nbits, 6)
+    )
 
 
 def graph6_encode(g: Graph) -> str:
@@ -60,21 +62,21 @@ def graph6_decode(text: str) -> Graph:
             f"expected {nbytes} data characters for n={n}, got {len(s) - 1}",
             min(len(s), 1 + nbytes),
         )
-    bits = []
+    stream = 0
     for k, ch in enumerate(s[1:], start=1):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6ParseError(f"invalid data character {ch!r}", k)
-        bits.extend((val >> (5 - t)) & 1 for t in range(6))
-    for k in range(nbits, len(bits)):
-        if bits[k]:
-            raise Graph6ParseError("non-zero padding bits", 1 + k // 6)
+        stream |= _REVERSED6[val] << 6 * (k - 1)
+    padding = stream >> nbits
+    if padding:
+        first = nbits + (padding & -padding).bit_length() - 1
+        raise Graph6ParseError("non-zero padding bits", 1 + first // 6)
     rows = [0] * n
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+        col = stream & ((1 << j) - 1)
+        stream >>= j
+        rows[j] = col
+        for i in bit_indices(col):
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))

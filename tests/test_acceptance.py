@@ -25,6 +25,7 @@ from graphenergy import (
     make_s_graph,
     poly_mul,
 )
+from graphenergy import census
 from graphenergy.census import PINNED
 from graphenergy.classify import is_bipartite
 from graphenergy.graphs import FamilySpec
@@ -96,12 +97,18 @@ def test_criterion_4_tricyclic_theorem():
         assert result.runtime < 60, f"took {result.runtime:.1f}s"
 
 
-def test_criterion_5_tetracyclic_theorem():
+def test_criterion_5_tetracyclic_theorem(monkeypatch):
+    walks = []
+    walk_order = census._STRATEGIES["edge"]
+    monkeypatch.setitem(
+        census._STRATEGIES, "edge", lambda n, top: walks.append(n) or walk_order(n, top)
+    )
     with criterion(5, "tetracyclic minimal families, n = 5..9, under 10 min"):
         enumerate_connected.cache_clear()  # time the full work incl. the (9,12) enumeration
         result = check_theorem_tetracyclic(CheckContext())
         assert result.passed, result.failures()
         assert result.runtime < 600, f"took {result.runtime:.1f}s"
+    assert sorted(walks) == [5, 6, 7, 8, 9]
 
 
 def test_criterion_6_closed_forms_exact():

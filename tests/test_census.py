@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import os
 from pathlib import Path
@@ -20,6 +21,7 @@ from graphenergy import (
     graph6_decode,
     graph6_encode,
 )
+from graphenergy import census as census_module
 from graphenergy.cli import main
 from graphenergy.census import (
     GENERATOR_VERSION,
@@ -27,7 +29,9 @@ from graphenergy.census import (
     census_digest,
     _generate_orderly,
     _generate_vertex_aug,
+    _vertex_levels,
 )
+from graphenergy.graphs import bit_indices, relabel_rows
 
 KNOWN = {
     (3, 3): 1,
@@ -112,6 +116,72 @@ def test_strategies_agree_at_n7():
         assert edge == enumerate_connected(7, e, strategy="vertex").graphs, e
 
 
+def test_strategies_agree_at_n8():
+    for e in range(7, 12):
+        edge = enumerate_connected(8, e).graphs
+        assert edge == enumerate_connected(8, e, strategy="vertex").graphs, e
+
+
+def test_edge_walks_each_order_once(monkeypatch):
+    # a fresh memo, so the walk is counted whatever ran before
+    walks = []
+    walk_order = census_module._STRATEGIES["edge"]
+
+    def counted(n, top):
+        walks.append((n, top))
+        return walk_order(n, top)
+
+    monkeypatch.setitem(census_module._STRATEGIES, "edge", counted)
+    monkeypatch.setattr(census_module, "_walk", functools.cache(census_module._walk.__wrapped__))
+    censuses = [enumerate_connected(8, e) for e in range(7, 12)]
+    assert walks == [(8, 11)]
+    assert [len(c) for c in censuses] == [23, 89, 236, 486, 814]
+    for c in censuses[2:]:
+        assert (len(c), census_digest(c.graphs)) == PINNED_CENSUSES[(8, c.e)]
+    assert enumerate_connected(8, 3).graphs == ()  # too few edges: an empty walk
+    assert enumerate_connected(8, 9, strategy="vertex").graphs == censuses[2].graphs
+    assert walks == [(8, 11), (8, 3)]
+
+
+def _is_automorphism(rows, perm):
+    return relabel_rows([bit_indices(r) for r in rows], perm) == tuple(rows)
+
+
+def test_vertex_levels_carry_automorphisms():
+    levels = list(_vertex_levels(8, 11))
+    for level in levels:
+        for rows, (_, gens) in level.items():
+            for g in gens:
+                assert sorted(g) == list(range(len(rows)))
+                assert _is_automorphism(rows, g), (rows, g)
+    # every level that is augmented again carries generators; the last none
+    assert all(any(gens for _, gens in level.values()) for level in levels[1:-1])
+    assert not any(gens for _, gens in levels[-1].values())
+
+
+def test_planted_non_automorphism_loses_classes(monkeypatch):
+    # orbit pruning is only as sound as its generators: a swap of two
+    # vertices that is not an automorphism merges orbits that are not
+    # isomorphic, and the census loses members
+    real = census_module._canonical_rows_autos
+
+    def planted(n, rows):
+        cert, gens = real(n, rows)
+        swap = (1, 0, *range(2, n))
+        return cert, gens + (swap,)
+
+    monkeypatch.setattr(census_module, "_canonical_rows_autos", planted)
+    levels = list(_vertex_levels(7, 10))
+    assert any(
+        not _is_automorphism(rows, g)
+        for level in levels
+        for rows, (_, gens) in level.items()
+        for g in gens
+    )
+    strings = _generate_vertex_aug(7, 10)[10]
+    assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
+
+
 def test_census_matches_graph_atlas():
     # "An Atlas of Graphs" (Read & Wilson) lists every graph on <= 7 vertices
     # and networkx's VF2 matcher shares no code with graphenergy.canon: each
@@ -178,17 +248,24 @@ def _assert_canonical_members(strings, n, e):
 
 
 def test_generators_return_exact_parameters():
-    for gen in (_generate_orderly, _generate_vertex_aug):
-        strings = gen(5, 6)
-        assert len(strings) == KNOWN[(5, 6)]
-        _assert_canonical_members(strings, 5, 6)
+    # one edge walk towards (5, 6) fills every class of order 5 up to e = 6
+    by_edges = _generate_orderly(5, 6)
+    assert sorted(by_edges) == list(range(7))
+    assert not any(by_edges[e] for e in range(4))
+    for e, strings in by_edges.items():
+        _assert_canonical_members(strings, 5, e)
+    assert [len(by_edges[e]) for e in (5, 6)] == [KNOWN[(5, 5)], KNOWN[(5, 6)]]
+    by_edges = _generate_vertex_aug(5, 6)
+    assert sorted(by_edges) == [6]
+    assert len(by_edges[6]) == KNOWN[(5, 6)]
+    _assert_canonical_members(by_edges[6], 5, 6)
 
 
 def test_determinism_across_runs():
     for gen in (_generate_orderly, _generate_vertex_aug):
         a = gen(6, 8)
         assert a == gen(6, 8)
-        _assert_canonical_members(a, 6, 8)
+        _assert_canonical_members(a[8], 6, 8)
 
 
 class TestCache:

@@ -12,6 +12,7 @@ from graphenergy import (
     make_star,
 )
 from graphenergy.census import enumerate_connected
+from graphenergy.graph6 import encode_rows
 
 from test_graphs import graph_strategy
 
@@ -32,6 +33,24 @@ def test_k1():
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_identity(g):
     assert graph6_decode(graph6_encode(g)).adj == g.adj
+
+
+def reference_encode(n, rows):
+    """graph6 the plain way: one list of bits, cut into 6-bit groups."""
+    bits = [rows[j] >> i & 1 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    groups = [bits[k : k + 6] for k in range(0, len(bits), 6)]
+    return chr(63 + n) + "".join(
+        chr(63 + int("".join(map(str, g)), 2)) for g in groups
+    )
+
+
+@given(graph_strategy(min_n=1, max_n=62))
+@settings(max_examples=150, deadline=None)
+def test_shift_packing_matches_the_bit_list_reference(g):
+    s = reference_encode(g.n, g.adj)
+    assert encode_rows(g.n, g.adj) == s
+    assert graph6_decode(s).adj == g.adj
 
 
 def test_roundtrip_on_census():
@@ -65,6 +84,25 @@ def test_nonzero_padding_rejected():
     bad = good[:-1] + chr(ord(good[-1]) ^ 1)
     with pytest.raises(Graph6ParseError):
         graph6_decode(bad)
+
+
+@pytest.mark.parametrize(
+    "bad,offset,message",
+    [
+        ("", 0, "empty"),
+        ("C", 1, "expected 1 data characters"),
+        ("C~~", 2, "expected 1 data characters"),
+        ("D~>", 2, "invalid data character"),
+        ("?A", 0, "order 0"),
+        ("\x7fA", 0, "invalid size character"),
+        ("Dq" + chr(63 + 0b000001), 2, "padding"),
+        ("J" + "?" * 9 + chr(63 + 0b000100), 10, "padding"),
+    ],
+)
+def test_parse_errors_keep_message_and_offset(bad, offset, message):
+    with pytest.raises(Graph6ParseError, match=message) as err:
+        graph6_decode(bad)
+    assert err.value.offset == offset
 
 
 def test_order_beyond_limit():
