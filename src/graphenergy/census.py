@@ -21,16 +21,14 @@ graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
 its VF2 isomorphism test.
 
 Census members are canonical graph6 strings, sorted, so cache files diff
-cleanly and reports are stable. One memo holds every walk's classes for the
-life of the process. ``PINNED`` freezes the count and digest of
-every class the checks rank or count; a cache load and the ``census`` check
-compare against it.
+cleanly and reports are stable. One memo, keyed by class, holds every class
+a walk completes. ``PINNED`` freezes the count and digest of every class the
+checks rank or count; a cache load and the ``census`` check compare with it.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import hashlib
 import itertools
 import os
@@ -142,20 +140,23 @@ def _is_max_code(rows: list[int], n: int) -> bool:
     return walk(0, 0)
 
 
-def _generate_orderly(n: int, e_max: int) -> dict[int, list[str]]:
-    """Connected n-vertex graphs with e edges, as canonical graph6, for every e <= e_max.
+def _generate_orderly(n: int, e: int) -> dict[tuple[int, int], list[str]]:
+    """Every class (n, m <= n + 3) as canonical graph6; below n - 1 edges, an empty (n, e).
 
-    One walk towards e_max fills every class on the way: a connected graph
-    with m <= e_max edges has only max-code ancestors with c components and
+    One walk towards n + 3 fills every class on the way: a connected graph
+    with m <= n + 3 edges has only max-code ancestors with c components and
     m' edges where c - 1 <= m - m', so the component prune never cuts it off.
     """
+    if e < n - 1:  # too few edges to connect: no walk
+        return {(n, e): []}
+    e_max = n + MAX_ENUM_EXCESS
     pairs = _pair_order(n)
     total_pairs = len(pairs)
-    out: dict[int, list[str]] = {m: [] for m in range(e_max + 1)}
+    out: dict[tuple[int, int], list[str]] = {(n, m): [] for m in range(e_max + 1)}
 
     def extend(rows: list[int], m: int, last: int, parent: list[int], comps: int):
         if comps == 1:
-            out[m].append(canonical_g6(n, rows))
+            out[n, m].append(canonical_g6(n, rows))
         if m == e_max:
             return
         for p in range(last + 1, total_pairs):
@@ -175,8 +176,7 @@ def _generate_orderly(n: int, e_max: int) -> dict[int, list[str]]:
             rows[i] &= ~(1 << j)
             rows[j] &= ~(1 << i)
 
-    if n - 1 <= e_max:
-        extend([0] * n, 0, -1, list(range(n)), n)
+    extend([0] * n, 0, -1, list(range(n)), n)
     return out
 
 
@@ -234,17 +234,20 @@ def _vertex_levels(n: int, e: int):
         yield level
 
 
-def _generate_vertex_aug(n: int, e: int) -> dict[int, list[str]]:
-    """Connected (n,e)-graphs by vertex augmentation with canonical dedup, as canonical graph6."""
-    for level in _vertex_levels(n, e):
-        pass  # the census is the last level, of n vertices
-    return {e: [encode_rows(n, rows) for rows, (m, _) in level.items() if m == e]}
+def _generate_vertex_aug(n: int, e: int) -> dict[tuple[int, int], list[str]]:
+    """(n, e) plus every class a level k < n holds, as canonical graph6.
+
+    Each is complete: every vertex still to come needs an edge, so level k < n
+    holds every connected k-vertex graph with at most e - (n - k) edges.
+    """
+    out: dict[tuple[int, int], list[str]] = {(n, e): []}
+    for k, level in enumerate(_vertex_levels(n, e), 1):
+        for rows, (m, _) in level.items():
+            out.setdefault((k, m), []).append(encode_rows(k, rows))
+    return out
 
 
-_STRATEGIES = {
-    "edge": _generate_orderly,
-    "vertex": _generate_vertex_aug,
-}
+_STRATEGIES = {"edge": _generate_orderly, "vertex": _generate_vertex_aug}
 
 
 def _check_envelope(n: int, e: int) -> None:
@@ -258,36 +261,33 @@ def _check_envelope(n: int, e: int) -> None:
         )
 
 
-@functools.cache
-def _walk(n: int, top: int, strategy: str) -> dict[int, GraphClassCensus]:
-    """Census of every class of order n that one walk of ``strategy`` towards top fills."""
-    generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-    out = {}
-    for e, found in _STRATEGIES[strategy](n, top).items():
-        strings = tuple(sorted(found))
-        if len(set(strings)) != len(strings):
-            raise RuntimeError(f"duplicate canonical forms in ({n},{e}) census")
-        out[e] = GraphClassCensus(n, e, strings, generated_at, GENERATOR_VERSION)
-    return out
+# (n, e, strategy) -> census, for every class any walk has completed
+_memo: dict[tuple[int, int, str], GraphClassCensus] = {}
 
 
 def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClassCensus:
     """Census of connected (n,e)-graphs, one canonical representative each.
 
     Supported envelope: n <= 10 and e <= n + 3. Larger requests fail loudly
-    rather than truncating. ``edge`` walks order n once, up to e = n + 3, and
-    the memo keeps every class of that walk; ``vertex`` builds one class per
-    walk. ``enumerate_connected.cache_clear()`` drops the memo.
+    rather than truncating. The memo keeps every class a walk completes:
+    ``edge`` walks order n once, up to e = n + 3; ``vertex`` towards (n, e)
+    also completes every class its levels k < n hold.
+    ``enumerate_connected.cache_clear()`` drops the memo.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_envelope(n, e)
-    # below n - 1 edges the class is empty and the walk stops at once
-    whole_order = strategy == "edge" and e >= n - 1
-    return _walk(n, n + MAX_ENUM_EXCESS if whole_order else e, strategy)[e]
+    if (n, e, strategy) not in _memo:
+        now = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+        for (k, m), found in _STRATEGIES[strategy](n, e).items():
+            strings = tuple(sorted(found))
+            if len(set(strings)) != len(strings):
+                raise RuntimeError(f"duplicate canonical forms in ({k},{m}) census")
+            _memo[k, m, strategy] = GraphClassCensus(k, m, strings, now, GENERATOR_VERSION)
+    return _memo[n, e, strategy]
 
 
-enumerate_connected.cache_clear = _walk.cache_clear
+enumerate_connected.cache_clear = _memo.clear
 
 
 # --- on-disk cache ----------------------------------------------------------

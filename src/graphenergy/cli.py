@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .census import census_cache_store, get_census
@@ -38,6 +39,17 @@ _EXIT_USAGE = 2
 _EXIT_IO = 3
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive float; argparse makes anything else a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphenergy",
@@ -52,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", help="directory for census cache files")
     parser.add_argument(
         "--quad-tol",
-        type=float,
+        type=_tolerance,
         default=1e-7,
         help="absolute tolerance for the contour-integral energy (default 1e-7)",
     )
@@ -155,16 +167,25 @@ def _cmd_energy(args) -> int:
             errors.append(f"--family {expr!r}: {exc}")
     if args.input:
         if args.input == "-":
-            lines = sys.stdin.read().splitlines()
+            # the bytes under stdin, so that no locale decodes them (a text
+            # stream with no bytes under it is read as text)
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
             try:
-                with open(args.input, encoding="utf-8") as fh:
-                    lines = fh.read().splitlines()
+                with open(args.input, "rb") as fh:
+                    data = fh.read()
             except OSError as exc:
                 print(f"graphenergy: {exc}", file=sys.stderr)
                 return _EXIT_IO
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
+        if isinstance(data, bytes):
+            data = data.decode("utf-8", "surrogateescape")
+        for lineno, raw in enumerate(data.splitlines(), start=1):
+            try:
+                # a byte that is not UTF-8 was escaped above; decoding it strictly fails
+                line = raw.encode("utf-8", "surrogateescape").decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                errors.append(f"line {lineno}: not UTF-8 text ({exc})")
+                continue
             if not line or line.startswith("#"):
                 continue
             try:

@@ -80,16 +80,14 @@ class Graph:
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             deg_sum += row.bit_count()
-        if deg_sum % 2:
-            raise ValueError("adjacency relation is not symmetric")
-        if self.e == -1:
-            object.__setattr__(self, "e", deg_sum // 2)
-        elif self.e != deg_sum // 2:
-            raise ValueError("cached edge count disagrees with adjacency")
         for v in range(self.n):
             for u in bit_indices(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError("adjacency relation is not symmetric")
+        if self.e == -1:
+            object.__setattr__(self, "e", deg_sum // 2)
+        elif self.e != deg_sum // 2:
+            raise ValueError("cached edge count disagrees with adjacency")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -355,8 +355,11 @@ def energy_coulson(
     """Graph energy from the contour-integral formula, with an error bound.
 
     Raises :class:`QuadratureAccuracyError` carrying the best estimate when
-    the evaluation budget runs out before ``tol`` is met.
+    the evaluation budget runs out before ``tol`` is met, and ``ValueError``
+    when ``tol`` is not finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = p.degree
     d = _abs2_coeffs(p)
     deg = max((k for k, x in enumerate(d) if x), default=0)

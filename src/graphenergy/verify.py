@@ -41,9 +41,16 @@ ENERGY_TIE_TOL = 1e-8
 DUAL_ENERGY_TOL = 1e-6
 DUAL_ENERGY_CLASSES = ((4, 4), (5, 6), (6, 8), (7, 10))
 
-# classes the census check also generates by the vertex strategy, which
-# must agree with the edge strategy string for string
-AGREEMENT_CLASSES = ((8, 11), (9, 12))
+# The census check's one vertex walk. Each vertex still to come needs an
+# edge, so its level k < 9 holds every connected k-vertex graph with at most
+# k + 3 edges: it fills (9,12) and each pinned class with n <= 8. On every
+# class it fills, the vertex census must equal the edge census string for string.
+VERTEX_WALK = (9, 12)
+AGREEMENT_CLASSES = tuple(
+    (n, e) for n, e in sorted(PINNED)
+    if (n, e) == VERTEX_WALK
+    or n < VERTEX_WALK[0] and e - n <= VERTEX_WALK[1] - VERTEX_WALK[0]
+)
 
 
 @dataclass(frozen=True)
@@ -417,6 +424,7 @@ def check_edge_cut_lemma(ctx: CheckContext) -> CheckResult:
 def check_census_counts(ctx: CheckContext) -> CheckResult:
     """Each pinned class's count and digest, plus two-strategy agreement."""
     t0 = time.perf_counter()
+    enumerate_connected(*VERTEX_WALK, strategy="vertex")  # fills every agreement class
     ev = []
     for (n, e), (count, digest) in sorted(PINNED.items()):
         edge = enumerate_connected(n, e)

@@ -55,13 +55,25 @@ def criterion(num: int, desc: str):
     print(f"\nACCEPTANCE criterion {num} ({desc}): PASS ({time.time() - t0:.1f}s)")
 
 
-def test_criterion_1_census_counts():
+def test_criterion_1_census_counts(monkeypatch):
+    walks = {"edge": [], "vertex": []}
+    for strategy, generate in list(census._STRATEGIES.items()):
+        monkeypatch.setitem(
+            census._STRATEGIES,
+            strategy,
+            lambda n, e, s=strategy, g=generate: walks[s].append((n, e)) or g(n, e),
+        )
     with criterion(1, "pinned census counts and digests, two-strategy agreement"):
+        enumerate_connected.cache_clear()  # count every walk the check makes
         result = check_census_counts(CheckContext())
         assert result.passed, result.failures()
         assert [(row["n"], row["e"]) for row in result.evidence] == sorted(PINNED)
         agreed = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "derived-count"]
-        assert agreed == [(8, 11), (9, 12)]
+        assert agreed == sorted(c for c in PINNED if c not in ((9, 10), (9, 11)))
+        assert len(agreed) == 17
+    # one vertex walk fills all 17; one edge walk per order fills every class
+    assert walks["vertex"] == [(9, 12)]
+    assert sorted(n for n, _ in walks["edge"]) == [4, 5, 6, 7, 8, 9]
 
 
 def test_criterion_2_reference_energies():
@@ -101,10 +113,12 @@ def test_criterion_5_tetracyclic_theorem(monkeypatch):
     walks = []
     walk_order = census._STRATEGIES["edge"]
     monkeypatch.setitem(
-        census._STRATEGIES, "edge", lambda n, top: walks.append(n) or walk_order(n, top)
+        census._STRATEGIES, "edge", lambda n, e: walks.append(n) or walk_order(n, e)
     )
+    # a fresh memo, to time the full work incl. the (9,12) enumeration; the
+    # shared one, with criterion 1's walks, comes back for later tests
+    monkeypatch.setattr(census, "_memo", {})
     with criterion(5, "tetracyclic minimal families, n = 5..9, under 10 min"):
-        enumerate_connected.cache_clear()  # time the full work incl. the (9,12) enumeration
         result = check_theorem_tetracyclic(CheckContext())
         assert result.passed, result.failures()
         assert result.runtime < 600, f"took {result.runtime:.1f}s"

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import os
 from pathlib import Path
@@ -127,20 +126,24 @@ def test_edge_walks_each_order_once(monkeypatch):
     walks = []
     walk_order = census_module._STRATEGIES["edge"]
 
-    def counted(n, top):
-        walks.append((n, top))
-        return walk_order(n, top)
+    def counted(n, e):
+        walks.append((n, e))
+        return walk_order(n, e)
 
     monkeypatch.setitem(census_module._STRATEGIES, "edge", counted)
-    monkeypatch.setattr(census_module, "_walk", functools.cache(census_module._walk.__wrapped__))
+    monkeypatch.setattr(census_module, "_memo", {})
     censuses = [enumerate_connected(8, e) for e in range(7, 12)]
-    assert walks == [(8, 11)]
+    assert walks == [(8, 7)]
     assert [len(c) for c in censuses] == [23, 89, 236, 486, 814]
     for c in censuses[2:]:
         assert (len(c), census_digest(c.graphs)) == PINNED_CENSUSES[(8, c.e)]
-    assert enumerate_connected(8, 3).graphs == ()  # too few edges: an empty walk
+    assert enumerate_connected(8, 3).graphs == ()  # the order-8 walk filled it too
     assert enumerate_connected(8, 9, strategy="vertex").graphs == censuses[2].graphs
-    assert walks == [(8, 11), (8, 3)]
+    assert walks == [(8, 7)]
+    # too few edges to connect: an empty answer that walks and fills nothing
+    assert enumerate_connected(7, 2).graphs == ()
+    assert len(enumerate_connected(7, 6)) == 11
+    assert walks == [(8, 7), (7, 2), (7, 6)]
 
 
 def _is_automorphism(rows, perm):
@@ -178,7 +181,7 @@ def test_planted_non_automorphism_loses_classes(monkeypatch):
         for rows, (_, gens) in level.items()
         for g in gens
     )
-    strings = _generate_vertex_aug(7, 10)[10]
+    strings = _generate_vertex_aug(7, 10)[7, 10]
     assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
 
 
@@ -248,24 +251,42 @@ def _assert_canonical_members(strings, n, e):
 
 
 def test_generators_return_exact_parameters():
-    # one edge walk towards (5, 6) fills every class of order 5 up to e = 6
-    by_edges = _generate_orderly(5, 6)
-    assert sorted(by_edges) == list(range(7))
-    assert not any(by_edges[e] for e in range(4))
-    for e, strings in by_edges.items():
-        _assert_canonical_members(strings, 5, e)
-    assert [len(by_edges[e]) for e in (5, 6)] == [KNOWN[(5, 5)], KNOWN[(5, 6)]]
-    by_edges = _generate_vertex_aug(5, 6)
-    assert sorted(by_edges) == [6]
-    assert len(by_edges[6]) == KNOWN[(5, 6)]
-    _assert_canonical_members(by_edges[6], 5, 6)
+    # one edge walk of order 5 fills every class of that order up to e = 8
+    by_class = _generate_orderly(5, 6)
+    assert sorted(by_class) == [(5, m) for m in range(9)]
+    assert not any(by_class[5, m] for m in range(4))
+    for (n, e), strings in by_class.items():
+        _assert_canonical_members(strings, n, e)
+    assert [len(by_class[5, e]) for e in (5, 6)] == [KNOWN[(5, 5)], KNOWN[(5, 6)]]
+    # a vertex walk towards (5, 6) completes every class with members at a
+    # level k < 5: those with k - 1 <= m <= k + 1
+    by_class = _generate_vertex_aug(5, 6)
+    lower = [(1, 0), (2, 1), (3, 2), (3, 3), (4, 3), (4, 4), (4, 5)]
+    assert sorted(by_class) == lower + [(5, 6)]
+    for (n, e), strings in by_class.items():
+        _assert_canonical_members(strings, n, e)
+    assert len(by_class[5, 6]) == KNOWN[(5, 6)]
+    # too few edges to connect: the requested class is still a key, and empty
+    assert _generate_orderly(5, 3) == {(5, 3): []}
+    assert _generate_vertex_aug(5, 3) == {(5, 3): [], (1, 0): ["@"]}
+
+
+def test_vertex_walk_completes_every_lower_class():
+    # each vertex still to come needs an edge, so level k < 7 of a walk
+    # towards (7, 10) holds every connected k-vertex graph with <= k + 3 edges
+    by_class = _generate_vertex_aug(7, 10)
+    lower = [(k, m) for k in range(1, 7) for m in range(k + 4) if enumerate_connected(k, m).graphs]
+    assert len(lower) == 18
+    assert sorted(by_class) == lower + [(7, 10)]
+    for (n, e), strings in by_class.items():
+        assert sorted(strings) == list(enumerate_connected(n, e).graphs), (n, e)
 
 
 def test_determinism_across_runs():
     for gen in (_generate_orderly, _generate_vertex_aug):
         a = gen(6, 8)
         assert a == gen(6, 8)
-        _assert_canonical_members(a[8], 6, 8)
+        _assert_canonical_members(a[6, 8], 6, 8)
 
 
 class TestCache:

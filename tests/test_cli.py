@@ -100,6 +100,24 @@ class TestEnergy:
         assert code == 2
         assert "line 1" in err
 
+    def test_undecodable_file_line_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_bytes(b"K4\n\xffC~\nC5\n")
+        code, out, err = run(capsys, "energy", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 2: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_stdin_line_is_a_parse_error(self, capsys, monkeypatch):
+        # stdin decoded as Latin-1, as under a Latin-1 locale: the bytes count
+        stdin = io.TextIOWrapper(io.BytesIO(b"K4\nC~\n\xe9\n"), encoding="latin-1")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "energy", "-")
+        assert code == 2
+        assert out == ""
+        assert "line 3: not UTF-8 text" in err
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "energy", str(tmp_path / "absent.g6"))
         assert code == 3
@@ -137,6 +155,13 @@ class TestEnergy:
         assert code == 0
         payload = json.loads(out)[0]
         assert payload["coulson_error_bound"] <= 1e-5
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf", "abc"])
+    def test_quad_tol_must_be_finite_and_positive(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quad-tol", tol, "energy", "--family", "K4"])
+        assert exc.value.code == 2
+        assert "--quad-tol" in capsys.readouterr().err
 
 
 class TestEnumerate:

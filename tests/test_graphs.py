@@ -56,6 +56,10 @@ class TestGraphValue:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
+        # an odd degree sum, with and without a cached edge count
+        for e in (-1, 0, 1, 2):
+            with pytest.raises(ValueError, match="not symmetric"):
+                Graph(3, (0b110, 0b001, 0b000), e)
 
     def test_vertex_cap(self):
         with pytest.raises(SizeOverflowError):

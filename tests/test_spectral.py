@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -263,6 +264,11 @@ class TestCoulson:
             energy_coulson(char_poly(make_complete(4)), tol=1e-13, max_evals=30)
         assert err.value.estimate == pytest.approx(6.0, abs=1e-2)
         assert err.value.error_bound > 0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            energy_coulson(char_poly(make_complete(4)), tol=tol)
 
     @given(graph_strategy(min_n=2, max_n=10))
     @settings(max_examples=40, deadline=None)

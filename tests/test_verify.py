@@ -152,8 +152,10 @@ class TestChecks:
         monkeypatch.setattr(verify_mod, "PINNED", pins)
         result = check_census_counts(CheckContext())
         assert not result.passed
-        assert [(r["n"], r["e"], r["actual"], r["digest_matches_pin"], r["ok"])
-                for r in result.evidence] == [(4, 4, 2, True, True), (5, 6, 5, False, False)]
+        # both classes are filled by the check's vertex walk: derived-count rows
+        assert [(r["n"], r["e"], r["edge_strategy"], r["identical_censuses"],
+                 r["digest_matches_pin"], r["ok"]) for r in result.evidence] == [
+            (4, 4, 2, True, True, True), (5, 6, 5, True, False, False)]
 
     def test_run_checks_rejects_unknown(self):
         with pytest.raises(KeyError):
