@@ -29,50 +29,57 @@ class CanonicalForm:
     graph6: str
 
 
-def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
-    """Equitable refinement of ``colors`` (1-WL to a stable partition)."""
-    ncolors = len(set(colors))
+def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> tuple[list[int], list[int] | None]:
+    """Equitable refinement of ``colors``, in place, and its first non-singleton cell.
+
+    Each round splits every cell in place, in colour order, by one integer key
+    per vertex: degree in the high bits minus neighbour-colour counts in base
+    ``2**n.bit_length()``, colour 0 most significant. Sorted neighbour-colour
+    tuples of equal length order as the reverse of their count vectors, so this
+    is the tuple-sort refinement's ordered partition whenever ``colors`` is
+    0..k-1 and uniform or degree-uniform per cell (``_individualize`` of an
+    equitable one). The cell lists its vertices ascending, or is ``None``.
+    """
+    if max(colors) == n - 1:
+        return colors, None
+    b = n.bit_length()
+    weight = [1 << s for s in range(b * n - b, -1, -b)].__getitem__
+    color = colors.__getitem__
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
     while True:
-        sigs = []
-        for v in range(n):
-            nb = sorted(colors[u] for u in nbrs[v])
-            nb.insert(0, colors[v])
-            sigs.append(tuple(nb))
-        uniq = sorted(set(sigs))
-        if len(uniq) == ncolors:
-            return colors
-        ncolors = len(uniq)
-        rank = {s: i for i, s in enumerate(uniq)}
-        colors = [rank[s] for s in sigs]
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) > 1:
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    key = (len(nbrs[v]) << b * n) - sum(map(weight, map(color, nbrs[v])))
+                    groups.setdefault(key, []).append(v)
+                if len(groups) > 1:
+                    split.extend(groups[key] for key in sorted(groups))
+                    continue
+            split.append(cell)
+        if len(split) == len(cells):
+            return colors, next((cell for cell in cells if len(cell) > 1), None)
+        cells = split
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
-    out = [2 * c + 1 for c in colors]
-    out[v] -= 1
-    rank = {c: i for i, c in enumerate(sorted(set(out)))}
-    return [rank[c] for c in out]
-
-
-def _first_nonsingleton_cell(colors: list[int]) -> list[int] | None:
-    counts: dict[int, int] = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    target = None
-    for c in sorted(counts):
-        if counts[c] > 1:
-            target = c
-            break
-    if target is None:
-        return None
-    return [v for v, c in enumerate(colors) if c == target]
+    """Split ``v`` off its non-singleton cell, just before the rest of it."""
+    cv = colors[v]
+    out = [c if c < cv else c + 1 for c in colors]
+    out[v] = cv
+    return out
 
 
 def _compose_auto(pi1, pi2, n):
     """Automorphism sending v to pi2^-1(pi1(v)) for two equal-certificate leaves."""
-    inv2 = [0] * n
-    for v, p in enumerate(pi2):
-        inv2[p] = v
-    return tuple(inv2[pi1[v]] for v in range(n))
+    inv2 = sorted(range(n), key=pi2.__getitem__)
+    return tuple(map(inv2.__getitem__, pi1))
 
 
 def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
@@ -92,8 +99,7 @@ def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
                 autos.append(sigma)
 
     def dfs(colors):
-        colors = _refine(nbrs, n, colors)
-        cell = _first_nonsingleton_cell(colors)
+        colors, cell = _refine(nbrs, n, colors)
         if cell is None:
             # a discrete colouring is a permutation: vertex v goes to colors[v]
             cert, perm = relabel_rows(nbrs, colors), tuple(colors)
@@ -111,12 +117,10 @@ def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
             if explored and autos:
                 parent = list(range(n))
                 for sigma in autos:
-                    applies = True
                     for b in base:
                         if sigma[b] != b:
-                            applies = False
                             break
-                    if applies:
+                    else:
                         for u in range(n):
                             ru, rs = dsu_find(parent, u), dsu_find(parent, sigma[u])
                             if ru != rs:
@@ -140,8 +144,6 @@ def _canonical_rows_autos(n: int, rows) -> tuple[tuple[int, ...], tuple[tuple[in
     automorphism ``s`` of the input becomes ``t`` with
     ``t[perm[v]] = perm[s[v]]``, so no second search runs.
     """
-    if n == 1:
-        return (0,), ()
     nbrs = [bit_indices(row) for row in rows]
     cert, perm, autos = _canonical_search(nbrs, n, [0] * n)
     gens = []
@@ -182,12 +184,10 @@ def aut_order(g: Graph) -> int:
     order = 1
 
     def colored_cert(cols):
-        cert, _, _ = _canonical_search(nbrs, n, cols)
-        return cert
+        return _canonical_search(nbrs, n, cols)[0]
 
     while True:
-        colors = _refine(nbrs, n, colors)
-        cell = _first_nonsingleton_cell(colors)
+        colors, cell = _refine(nbrs, n, colors)
         if cell is None:
             return order
         v0 = cell[0]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from graphenergy import (
     make_s_graph,
     make_star,
 )
-from graphenergy.census import enumerate_connected
+from graphenergy import canon
+from graphenergy.census import PINNED, enumerate_connected
+from graphenergy.graphs import bit_indices
 
 from test_graphs import graph_strategy
 
@@ -45,6 +48,25 @@ def test_permutation_invariance_seeded_bulk():
         g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
         h = g.relabeled(_random_perm(rng, n))
         assert canonical_label(g).graph6 == canonical_label(h).graph6
+
+
+def _random_graph(rng, n, m):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph.from_edges(n, rng.sample(pairs, m))
+
+
+def test_permutation_invariance_beyond_order_9():
+    # at least n edges keeps large cells of isolated (or universal) vertices
+    # out: the search on an empty 31-vertex graph alone takes about 30 s
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(10, 62)
+        g = _random_graph(rng, n, rng.randint(n, n * (n - 1) // 2 - n))
+        h = g.relabeled(_random_perm(rng, n))
+        assert canonical_label(g).graph6 == canonical_label(h).graph6
+        image, perm = canonicalize(h)
+        assert h.relabeled(perm).adj == image.adj
+        assert image.adj == canonicalize(g)[0].adj
 
 
 def test_canonical_image_is_relabelling_of_input():
@@ -103,18 +125,18 @@ def test_cycle_canonical_unique_across_relabelings():
     assert len(forms) == 1
 
 
+GROUP_CASES = [
+    (make_complete(4), 24),
+    (make_cycle(5), 10),
+    (make_cycle(6), 12),
+    (make_complete_bipartite(3, 3), 72),
+    (make_star(10), math.factorial(9)),
+    (make_s_graph(9, 9), 2 * math.factorial(6)),
+]
+
+
 class TestAutOrder:
-    @pytest.mark.parametrize(
-        "g,order",
-        [
-            (make_complete(4), 24),
-            (make_cycle(5), 10),
-            (make_cycle(6), 12),
-            (make_complete_bipartite(3, 3), 72),
-            (make_star(10), math.factorial(9)),
-            (make_s_graph(9, 9), 2 * math.factorial(6)),
-        ],
-    )
+    @pytest.mark.parametrize("g,order", GROUP_CASES)
     def test_known_groups(self, g, order):
         assert aut_order(g) == order
 
@@ -138,3 +160,110 @@ def test_aut_order_of_component_wreath():
 
     g = disjoint_union(disjoint_union(make_cycle(3), make_cycle(3)), make_cycle(3))
     assert aut_order(g) == 6**3 * math.factorial(3)
+
+
+def reference_refine(nbrs, n, colors):
+    """The tuple-sort refinement whose ordered partition ``canon._refine`` keeps."""
+    ncolors = len(set(colors))
+    while True:
+        sigs = []
+        for v in range(n):
+            nb = sorted(colors[u] for u in nbrs[v])
+            nb.insert(0, colors[v])
+            sigs.append(tuple(nb))
+        uniq = sorted(set(sigs))
+        if len(uniq) == ncolors:
+            return colors
+        ncolors = len(uniq)
+        rank = {s: i for i, s in enumerate(uniq)}
+        colors = [rank[s] for s in sigs]
+
+
+def _check_every_refine(monkeypatch) -> list:
+    """Route ``canon._refine`` through the reference; return the colourings it gets.
+
+    Each colouring handed over must meet the integer key's contract: colours
+    0..k-1, and either one colour or cells whose vertices share a degree.
+    """
+    real = canon._refine
+    given = []
+
+    def checked(nbrs, n, colors):
+        before = list(colors)
+        cell_degrees: dict[int, set[int]] = {}
+        for v, c in enumerate(before):
+            cell_degrees.setdefault(c, set()).add(len(nbrs[v]))
+        assert sorted(cell_degrees) == list(range(len(cell_degrees)))
+        assert len(cell_degrees) == 1 or all(len(d) == 1 for d in cell_degrees.values())
+        want = reference_refine(nbrs, n, before)
+        got, cell = real(nbrs, n, colors)
+        assert got == want, before
+        sizes = Counter(want)
+        first = min((c for c in sizes if sizes[c] > 1), default=None)
+        assert cell == (None if first is None else [v for v, c in enumerate(want) if c == first])
+        given.append(before)
+        return got, cell
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    return given
+
+
+def test_refine_matches_reference_on_pinned_classes(monkeypatch):
+    members = {key: enumerate_connected(*key).graphs for key in PINNED}
+    given = _check_every_refine(monkeypatch)
+    rng = random.Random(23)
+    for (n, _), strings in members.items():
+        for s in strings:
+            h = graph6_decode(s).relabeled(_random_perm(rng, n))
+            assert canonical_label(h).graph6 == s
+    assert len(given) > sum(len(strings) for strings in members.values())
+
+
+def _first_branch(g):
+    """Refine and individualise down the search's first branch to a discrete colouring."""
+    nbrs = [bit_indices(row) for row in g.adj]
+    colors, cell = canon._refine(nbrs, g.n, [0] * g.n)
+    while cell is not None:
+        colors, cell = canon._refine(nbrs, g.n, canon._individualize(colors, cell[0]))
+
+
+def _carry_graph(n):
+    """Vertices 1 and 2 of degree d = (n - 2) // 2 that a narrow key misorders.
+
+    Vertex 1 has one neighbour of the lowest degree and d - 1 in a clique;
+    vertex 2 has d in a cycle, whose colour lies between. Packed in base B,
+    vertex 2's count d outweighs vertex 1's lead once d > B + 1.
+    """
+    d = (n - 2) // 2
+    cycle, clique = range(3, 3 + d), range(3 + d, 2 + 2 * d)
+    edges = [(0, 1)] + [(1, v) for v in clique] + [(2, v) for v in cycle]
+    edges += [(v, 3 + (v - 2) % d) for v in cycle] + list(itertools.combinations(clique, 2))
+    return Graph.from_edges(n, edges)  # vertex n - 1 stays isolated when n is odd
+
+
+@pytest.mark.parametrize("n", [15, 16, 31, 32, 62])
+def test_refine_matches_reference_at_packing_widths(monkeypatch, n):
+    # b = n.bit_length() grows at 16 and 32; a neighbour count reaches n - 1
+    # in K_n, and a random graph of about half density spreads its counts
+    rng = random.Random(n)
+    regular = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in (1, 3)])
+    dense = _random_graph(rng, n, n * (n - 1) // 4)
+    sparse = _random_graph(rng, n, 2 * n)
+    given = _check_every_refine(monkeypatch)
+    for g in (regular, dense, sparse):
+        h = g.relabeled(_random_perm(rng, n))
+        assert canonical_label(g).graph6 == canonical_label(h).graph6
+    # a full search over a big clique or independent set is out of reach at
+    # n >= 31, so walk the first branch there; at n <= 16 canonicalise too
+    for g in (make_complete(n), make_complete_bipartite(n // 3, n - n // 3), _carry_graph(n)):
+        _first_branch(g)
+        if n <= 16:
+            assert canonical_label(g.relabeled(_random_perm(rng, n))).graph6 == canonical_label(g).graph6
+    assert len(given) > 2 * (n - 2)
+
+
+def test_refine_matches_reference_under_aut_order(monkeypatch):
+    given = _check_every_refine(monkeypatch)
+    for g, order in GROUP_CASES:
+        assert aut_order(g) == order
+    assert given

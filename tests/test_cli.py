@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphenergy
 from graphenergy import Graph, char_poly, eigenvalues, family_graph, graph6_decode, graph6_encode
+from graphenergy.census import PINNED, census_digest
 from graphenergy.cli import main
 import graphenergy.verify as verify_mod
 from graphenergy.verify import CheckResult
@@ -189,6 +195,26 @@ class TestEnumerate:
         assert len(g6) == 20
         meta = (tmp_path / "cache" / "census_n6_e9.meta").read_text()
         assert "count: 20" in meta
+
+    def test_census_file_independent_of_hash_seed(self, tmp_path):
+        # census generation keeps its keys in sets and dicts; only a fresh
+        # interpreter per hash seed can show an iteration-order dependence
+        src = str(Path(graphenergy.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        files = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            subprocess.run(
+                [sys.executable, "-m", "graphenergy", "enumerate", "7", "10", "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            files.append((out / "census_n7_e10.g6").read_bytes())
+        assert files[0] == files[1]
+        strings = files[0].decode("ascii").splitlines()
+        assert (len(strings), census_digest(strings)) == PINNED[7, 10]
 
     def test_cache_dir_reuse(self, capsys, tmp_path):
         code, out, _ = run(
