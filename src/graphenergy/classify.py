@@ -88,11 +88,12 @@ def _odd_cycle_from_conflict(parent, depth, v, u) -> tuple[int, ...]:
 def simple_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All simple cycles as vertex sequences (each once, smallest vertex first)."""
     cycles: list[tuple[int, ...]] = []
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     for s in range(g.n):
         stack = [(s, 1 << s, (s,))]
         while stack:
             v, mask, path = stack.pop()
-            for u in g.neighbors(v):
+            for u in nbrs[v]:
                 if u == s and len(path) >= 3 and path[1] < path[-1]:
                     cycles.append(path)
                 elif u > s and not mask >> u & 1:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graph6 import graph6_decode
 from .graphs import Graph, family_graph
-from .spectral import Spectrum, b_coeffs, energy_coulson, spectra
+from .spectral import CoulsonEnergy, Spectrum, b_coeffs, energy_coulsons, spectra
 from .verify import (
     CHECKS,
     ENERGY_TIE_TOL,
@@ -116,9 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _graph_report(label: str, g: Graph, spec: Spectrum, quad_tol: float) -> dict:
+def _graph_report(label: str, g: Graph, spec: Spectrum, coulson: CoulsonEnergy) -> dict:
     p = spec.charpoly
-    coulson = energy_coulson(p, tol=quad_tol)
     bip = is_bipartite(g)
     row = {
         "input": label,
@@ -198,7 +197,13 @@ def _cmd_energy(args) -> int:
         return _EXIT_USAGE
 
     specs = spectra([g for _, g in items])
-    reports = [_graph_report(*item, spec, args.quad_tol) for item, spec in zip(items, specs)]
+    # no name holds the Coulson results, so they are freed before the output is built
+    reports = [
+        _graph_report(*item, spec, coulson)
+        for item, spec, coulson in zip(
+            items, specs, energy_coulsons([s.charpoly for s in specs], tol=args.quad_tol)
+        )
+    ]
     if args.format == "json":
         print(json.dumps(reports, indent=2))
     elif args.format == "csv":

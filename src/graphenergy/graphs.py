@@ -74,16 +74,22 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         deg_sum = 0
+        below = 0
         for v, row in enumerate(self.adj):
             if row >> self.n:
                 raise ValueError(f"adjacency row {v} references vertices >= {self.n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             deg_sum += row.bit_count()
-        for v in range(self.n):
-            for u in bit_indices(self.adj[v]):
+            low = row & ((1 << v) - 1)
+            below += low.bit_count()
+            for u in bit_indices(low):
                 if not self.adj[u] >> v & 1:
                     raise ValueError("adjacency relation is not symmetric")
+        # every below-diagonal bit has its (distinct) mirror above the
+        # diagonal, so equal counts leave no above-diagonal bit unmirrored
+        if 2 * below != deg_sum:
+            raise ValueError("adjacency relation is not symmetric")
         if self.e == -1:
             object.__setattr__(self, "e", deg_sum // 2)
         elif self.e != deg_sum // 2:

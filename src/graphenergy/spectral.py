@@ -21,9 +21,11 @@ inside (9 * 2^9 * 8^9 < 2^40); n = 62 is outside at any degree.
 
 ``spectra`` is the authoritative energy route (symmetric eigensolver); each
 :class:`Spectrum` carries the exact polynomial that gated it, through the
-residual |p(lambda)| of every eigenvalue. ``energy_coulson`` integrates the
+residual |p(lambda)| of every eigenvalue. ``energy_coulsons`` integrates the
 classical contour formula from the exact coefficients and serves as the
-independent oracle: nothing the eigensolver computes reaches it.
+independent oracle: nothing the eigensolver computes reaches it. It runs one
+masked Gauss-Kronrod pass per chunk of polynomials whose squared modulus has
+one degree; ``energy_coulson`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -81,18 +83,22 @@ _INT64_LIMIT = 1 << 62
 _CHUNK = 256
 
 
-def _batched(stacked: Callable[[list[Graph]], list], graphs: Sequence[Graph]) -> list:
-    """``stacked`` over chunks of graphs of one order, results in input order."""
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    out: list = [None] * len(graphs)
-    for index in by_order.values():
+def _batched(stacked: Callable[[list], list], items: Sequence, size: Callable) -> list:
+    """``stacked`` over chunks of items of one ``size``, results in input order."""
+    by_size: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        by_size.setdefault(size(item), []).append(i)
+    out: list = [None] * len(items)
+    for index in by_size.values():
         for lo in range(0, len(index), _CHUNK):
             chunk = index[lo:lo + _CHUNK]
-            for i, result in zip(chunk, stacked([graphs[i] for i in chunk])):
+            for i, result in zip(chunk, stacked([items[i] for i in chunk])):
                 out[i] = result
     return out
+
+
+def _order(g: Graph) -> int:
+    return g.n
 
 
 def _adjacency_stack(graphs: list[Graph]) -> np.ndarray:
@@ -161,7 +167,7 @@ def _stacked_char_polys(graphs: list[Graph]) -> list[CharPoly]:
 
 def char_polys(graphs: Sequence[Graph]) -> list[CharPoly]:
     """Exact characteristic polynomials of graphs of any orders, in input order."""
-    return _batched(_stacked_char_polys, graphs)
+    return _batched(_stacked_char_polys, graphs, _order)
 
 
 def char_poly(g: Graph) -> CharPoly:
@@ -213,7 +219,7 @@ def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
 
 def spectra(graphs: Sequence[Graph]) -> list[Spectrum]:
     """Spectra of graphs of any orders, in input order, each with its polynomial."""
-    return _batched(_stacked_spectra, graphs)
+    return _batched(_stacked_spectra, graphs, _order)
 
 
 def eigenvalues(g: Graph) -> Spectrum:
@@ -297,8 +303,11 @@ for _i, _w in _GAUSS_W.items():
     _WG[14 - _i] = _w
 
 
-def _abs2_coeffs(p: CharPoly) -> list[int]:
-    """Integer coefficients d_k of P^2 + Q^2 in y = x^2; all non-negative."""
+def _abs2_coeffs(p: CharPoly) -> tuple[int, list[int]]:
+    """``(n, d)``: d_k, the integer coefficients of P^2 + Q^2 in y = x^2 up to its degree.
+
+    All d_k are non-negative and d_0 = 1.
+    """
     n = p.degree
     even = [(-1) ** i * p.coeffs[2 * i] for i in range(n // 2 + 1)]
     odd = [(-1) ** i * p.coeffs[2 * i + 1] for i in range((n + 1) // 2)]
@@ -311,94 +320,136 @@ def _abs2_coeffs(p: CharPoly) -> list[int]:
             d[i + j + 1] += a * b
     if d[0] != 1 or any(x < 0 for x in d):
         raise GraphEnergyError("squared-modulus coefficients are not a valid graph polynomial")
-    return d
+    deg = max(k for k, x in enumerate(d) if x)
+    return n, d[: deg + 1]
 
 
-def _adaptive_quad(f, lo: float, hi: float, tol: float, budget: list[int]) -> tuple[float, float]:
-    """Globally adaptive Gauss-Kronrod 15(7) on [lo, hi]; best-effort.
+def _horner(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row i of ``c`` (highest power first) evaluated at every entry of row i of ``y``."""
+    acc = np.zeros_like(y)
+    for j in range(c.shape[1]):
+        acc = acc * y + c[:, j, None]
+    return acc
 
-    Returns (estimate, error bound); stops refining when the bound meets
-    ``tol`` or the shared evaluation budget runs out.
+
+def _log_d_over_x2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """I1's integrand log(D(x)) / x^2 = log1p(y T(y)) / y, y = x^2: no cancellation near 0."""
+    y = x * x
+    return np.log1p(y * _horner(t, y)) / y
+
+
+def _log_s(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """I2's integrand log(S(u^2)); S > 0 on [0, 1]."""
+    return np.log(_horner(s, u * u))
+
+
+def _gk15(f, coeffs: np.ndarray, gid: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Kronrod estimates and |Kronrod - Gauss| errors of f on panels [a, b] of rows ``gid``."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    ys = f(mid[:, None] + half[:, None] * _NODES, coeffs[gid])
+    k = (ys * _WK).sum(axis=1) * half
+    return k, np.abs(k - (ys * _WG).sum(axis=1) * half)
+
+
+def _adaptive_gk15(f, coeffs: np.ndarray, tol: float, budget: np.ndarray):
+    """Globally adaptive Gauss-Kronrod 15(7) on [0, 1] for every row of ``coeffs`` at once.
+
+    Row g refines on its own: each round it splits the quarter of its panels
+    with the largest errors while its summed error exceeds ``tol``,
+    ``budget[g]`` (decremented in place by its evaluations) is positive and
+    it has at most 4,000 panels. Each row's panels stay in the order a
+    batch of one keeps them, so ``np.bincount`` adds them up in that order.
+    Returns per-row (estimates, error bounds); best-effort.
     """
-
-    def eval_segs(pairs):
-        a = np.array([s[0] for s in pairs])
-        b = np.array([s[1] for s in pairs])
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        xs = mid[:, None] + half[:, None] * _NODES[None, :]
-        budget[0] -= xs.size
-        ys = f(xs.ravel()).reshape(xs.shape)
-        k = (ys * _WK).sum(axis=1) * half
-        gauss = (ys * _WG).sum(axis=1) * half
-        return list(zip(pairs, k.tolist(), np.abs(k - gauss).tolist()))
-
-    work = eval_segs([(lo, hi)])
+    rows = len(coeffs)
+    gid = np.arange(rows)
+    a, b = np.zeros(rows), np.ones(rows)
+    pan = np.column_stack((a, b, *_gk15(f, coeffs, gid, a, b)))  # lo, hi, estimate, error
+    budget -= _NODES.size
+    value, bound = np.empty(rows), np.empty(rows)
     while True:
-        err = sum(w[2] for w in work)
-        if err <= tol or budget[0] <= 0 or len(work) > 4000:
-            return sum(w[1] for w in work), err
-        work.sort(key=lambda w: w[2], reverse=True)
-        nsplit = max(1, len(work) // 4)
-        split, keep = work[:nsplit], work[nsplit:]
-        halves = []
-        for (a, b), _, _ in split:
-            m = 0.5 * (a + b)
-            halves.append((a, m))
-            halves.append((m, b))
-        work = keep + eval_segs(halves)
+        count = np.bincount(gid, minlength=rows)
+        total = np.bincount(gid, pan[:, 3], minlength=rows)
+        done = (count > 0) & ((total <= tol) | (budget <= 0) | (count > 4000))
+        if done.any():
+            value[done] = np.bincount(gid, pan[:, 2], minlength=rows)[done]
+            bound[done] = total[done]
+            live = ~done[gid]
+            gid, pan = gid[live], pan[live]
+            if not gid.size:
+                return value.tolist(), bound.tolist()
+            count[done] = 0
+        # by row, then by error descending; stable, as a batch of one sorts
+        order = np.lexsort((-pan[:, 3], gid))
+        gid, pan = gid[order], pan[order]
+        rank = np.arange(gid.size) - (np.cumsum(count) - count)[gid]
+        split = rank < np.maximum(1, count // 4)[gid]
+        # each split panel [lo, hi] becomes [lo, mid] and [mid, hi], appended in turn
+        lo, hi = pan[split, 0], pan[split, 1]
+        mid = 0.5 * (lo + hi)
+        hgid = np.repeat(gid[split], 2)
+        ha, hb = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        budget -= _NODES.size * np.bincount(hgid, minlength=rows)
+        halves = np.column_stack((ha, hb, *_gk15(f, coeffs, hgid, ha, hb)))
+        gid, pan = np.concatenate((gid[~split], hgid)), np.concatenate((pan[~split], halves))
+
+
+def _stacked_coulson(
+    items: list[tuple[int, list[int]]], tol: float, max_evals: int
+) -> list[CoulsonEnergy]:
+    """Coulson energies of one chunk of polynomials whose D has one degree."""
+    deg = len(items[0][1]) - 1
+    if deg == 0:
+        return [CoulsonEnergy(0.0, 0.0, 0)] * len(items)
+    d = np.array([[float(x) for x in di] for _, di in items])
+    budget = np.full(len(items), max_evals, dtype=np.int64)
+    tol_each = tol * math.pi / 2.0
+    # T(y) = (D(y) - 1) / y, highest power first: d_deg .. d_1
+    i1, e1 = _adaptive_gk15(_log_d_over_x2, d[:, :0:-1], tol_each, budget)
+    # S(v) = reversed D with the zero-root factor v^m removed: d_0 .. d_deg
+    i2, e2 = _adaptive_gk15(_log_s, d, tol_each, budget)
+    # pi * E = I1 + I2 + 2n - 2m, m = n - deg the multiplicity of eigenvalue 0
+    return [
+        CoulsonEnergy((i1[g] + i2[g] + 2 * n - 2 * (n - deg)) / math.pi,
+                      (e1[g] + e2[g]) / math.pi, max_evals - int(budget[g]))
+        for g, (n, _) in enumerate(items)
+    ]
+
+
+def energy_coulsons(
+    polys: Sequence[CharPoly], *, tol: float = 1e-7, max_evals: int = 1_000_000
+) -> list[CoulsonEnergy]:
+    """Graph energies from the contour-integral formula, with error bounds, in input order.
+
+    One masked Gauss-Kronrod pass runs per chunk of at most ``_CHUNK``
+    polynomials whose D has one degree; each polynomial keeps its own
+    refinement, ``max_evals`` budget and bound, so a batch gives bit for bit
+    what each polynomial gives alone. Raises :class:`QuadratureAccuracyError`
+    for the first polynomial, in input order, that misses ``tol`` within its
+    budget, carrying that polynomial's best estimate, and ``ValueError`` when
+    ``tol`` is not finite and positive.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    results = _batched(
+        lambda chunk: _stacked_coulson(chunk, tol, max_evals),
+        [_abs2_coeffs(p) for p in polys],
+        lambda item: len(item[1]),
+    )
+    for r in results:
+        if r.error_bound > tol:
+            raise QuadratureAccuracyError(
+                f"requested tolerance {tol:.1e} not reached (bound {r.error_bound:.1e} "
+                f"after {r.evaluations} evaluations)",
+                r.value,
+                r.error_bound,
+            )
+    return results
 
 
 def energy_coulson(
     p: CharPoly, *, tol: float = 1e-7, max_evals: int = 1_000_000
 ) -> CoulsonEnergy:
-    """Graph energy from the contour-integral formula, with an error bound.
-
-    Raises :class:`QuadratureAccuracyError` carrying the best estimate when
-    the evaluation budget runs out before ``tol`` is met, and ``ValueError``
-    when ``tol`` is not finite and positive.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    n = p.degree
-    d = _abs2_coeffs(p)
-    deg = max((k for k, x in enumerate(d) if x), default=0)
-    m = n - deg  # multiplicity of the zero eigenvalue
-    if deg == 0:
-        return CoulsonEnergy(0.0, 0.0, 0)
-
-    # T(y) = (D(y) - 1) / y, highest power first; D has d[0] = 1 exactly, so
-    # log(D) = log1p(y T(y)) costs no cancellation near x = 0.
-    t_coeffs = [float(x) for x in reversed(d[1:])]
-    # S(v) = reversed D with the zero-root factor v^m removed; S > 0 on [0,1].
-    s_coeffs = [float(x) for x in d[: deg + 1]]
-
-    def f1(x):
-        y = x * x
-        t = np.zeros_like(y)
-        for c in t_coeffs:
-            t = t * y + c
-        return np.log1p(y * t) / y
-
-    def f2(u):
-        v = u * u
-        s = np.zeros_like(v)
-        for c in s_coeffs:
-            s = s * v + c
-        return np.log(s)
-
-    budget = [max_evals]
-    tol_each = tol * math.pi / 2.0
-    i1, e1 = _adaptive_quad(f1, 0.0, 1.0, tol_each, budget)
-    i2, e2 = _adaptive_quad(f2, 0.0, 1.0, tol_each, budget)
-    value = (i1 + i2 + 2 * n - 2 * m) / math.pi
-    bound = (e1 + e2) / math.pi
-    used = max_evals - budget[0]
-    if bound > tol:
-        raise QuadratureAccuracyError(
-            f"requested tolerance {tol:.1e} not reached (bound {bound:.1e} "
-            f"after {used} evaluations)",
-            value,
-            bound,
-        )
-    return CoulsonEnergy(value, bound, used)
+    """Graph energy from the contour-integral formula, with an error bound; a batch of one."""
+    return energy_coulsons([p], tol=tol, max_evals=max_evals)[0]

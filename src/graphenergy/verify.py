@@ -32,7 +32,7 @@ from .spectral import (
     char_poly,
     closed_form_charpoly,
     energy,
-    energy_coulson,
+    energy_coulsons,
     spectra,
 )
 from .canon import canonical_g6
@@ -513,13 +513,14 @@ def check_dual_energy(ctx: CheckContext) -> CheckResult:
     ev = []
     worst = 0.0
     censuses = [get_census(n, e, ctx.cache_dir) for n, e in DUAL_ENERGY_CLASSES]
-    # one pass over every class; each census below takes its own spectra in turn
-    specs = iter(spectra([g for census in censuses for g in census.members()]))
+    # one pass over every class; each census below takes its own differences in turn
+    specs = spectra([g for census in censuses for g in census.members()])
+    # the contour integral sees only the exact polynomials
+    coulsons = energy_coulsons([spec.charpoly for spec in specs])
+    diffs = iter([abs(spec.energy - c.value) for spec, c in zip(specs, coulsons)])
     for census in censuses:
         bad = 0
-        for s, spec in zip(census.graphs, specs):
-            # the contour integral sees only the exact polynomial
-            diff = abs(spec.energy - energy_coulson(spec.charpoly).value)
+        for s, diff in zip(census.graphs, diffs):
             worst = max(worst, diff)
             if diff > DUAL_ENERGY_TOL:
                 bad += 1

@@ -16,14 +16,14 @@ from graphenergy import (
     char_poly,
     closed_form_charpoly,
     disjoint_union,
-    eigenvalues,
     energy,
-    energy_coulson,
+    energy_coulsons,
     enumerate_connected,
     family_graph,
     graph6_decode,
     make_s_graph,
     poly_mul,
+    spectra,
 )
 from graphenergy import census
 from graphenergy.census import PINNED
@@ -151,16 +151,16 @@ def test_criterion_7_inequality_suite():
 def test_criterion_8_property_suites():
     with criterion(8, "property suites (dual energy, unions, symmetry, cuts, canon)"):
         # dual-method agreement on every graph of every generated census
+        names = [s for n, e in ALL_CLASSES for s in enumerate_connected(n, e).graphs]
+        graphs = [graph6_decode(s) for s in names]
+        specs = spectra(graphs)
+        coulsons = energy_coulsons([spec.charpoly for spec in specs])
         worst = 0.0
-        total = 0
-        for n, e in ALL_CLASSES:
-            for s in enumerate_connected(n, e).graphs:
-                g = graph6_decode(s)
-                diff = abs(energy(g) - energy_coulson(char_poly(g)).value)
-                worst = max(worst, diff)
-                total += 1
-                assert diff <= 1e-6, f"{s}: dual-method gap {diff:.2e}"
-        print(f"  dual-method: {total} graphs, worst gap {worst:.2e}")
+        for s, spec, coulson in zip(names, specs, coulsons):
+            diff = abs(spec.energy - coulson.value)
+            worst = max(worst, diff)
+            assert diff <= 1e-6, f"{s}: dual-method gap {diff:.2e}"
+        print(f"  dual-method: {len(names)} graphs, worst gap {worst:.2e}")
 
         # union multiplicativity, exact in integers, 200 seeded pairs
         rng = random.Random(20240401)
@@ -172,21 +172,15 @@ def test_criterion_8_property_suites():
         print("  union multiplicativity: 200 seeded pairs exact")
 
         # bipartite spectral symmetry on all bipartite census members
-        checked = 0
-        for n, e in ALL_CLASSES:
-            for s in enumerate_connected(n, e).graphs:
-                g = graph6_decode(s)
-                if not is_bipartite(g):
-                    continue
-                spec = eigenvalues(g)
-                for i in range(g.n):
-                    assert abs(
-                        spec.eigenvalues[i] + spec.eigenvalues[g.n - 1 - i]
-                    ) <= 1e-9
-                a = char_poly(g).coeffs
-                assert all(a[k] == 0 for k in range(1, g.n + 1, 2))
-                checked += 1
-        print(f"  bipartite symmetry: {checked} census members")
+        bipartite = [g for g in graphs if is_bipartite(g)]
+        for g, spec in zip(bipartite, spectra(bipartite)):
+            for i in range(g.n):
+                assert abs(
+                    spec.eigenvalues[i] + spec.eigenvalues[g.n - 1 - i]
+                ) <= 1e-9
+            a = spec.charpoly.coeffs
+            assert all(a[k] == 0 for k in range(1, g.n + 1, 2))
+        print(f"  bipartite symmetry: {len(bipartite)} census members")
 
         # edge-cut monotonicity, 500 seeded trials, zero violations
         result = check_edge_cut_lemma(CheckContext(seed=1729, trials=500))

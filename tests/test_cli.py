@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -168,6 +169,31 @@ class TestEnergy:
             main(["--quad-tol", tol, "energy", "--family", "K4"])
         assert exc.value.code == 2
         assert "--quad-tol" in capsys.readouterr().err
+
+
+def _chorded_path(n: int) -> Graph:
+    chords = [(v, (7 * v + 5) % n) for v in range(0, n, 5)]
+    return Graph.from_edges(
+        n, [(v, v + 1) for v in range(n - 1)] + [(u, v) for u, v in chords if u != v]
+    )
+
+
+# family and graph6 lines of orders 3..62, edgeless and zero-eigenvalue cases included
+GOLDEN_LINES = (
+    ["S 7 7", "K4", "Kb 3 3", "W 5", "C5", "B 9 12", "S 11 11 + C3", "K3 + K1", "K1 + K1"]
+    + [graph6_encode(family_graph(f)) for f in ("B 8 11", "S 9 12", "K8")]
+    + [graph6_encode(_chorded_path(n)) for n in (20, 40, 62)]
+)
+# sha256 of the JSON report of GOLDEN_LINES; a change means some report byte moved
+GOLDEN_JSON_SHA256 = "bf2cb6411c96e72f827ea34374dd2e4433f10f44ffc62f5d4023b07c2ed5b6c1"
+
+
+def test_energy_json_report_is_byte_stable(capsys, tmp_path):
+    path = tmp_path / "golden.txt"
+    path.write_text("".join(line + "\n" for line in GOLDEN_LINES))
+    code, out, _ = run(capsys, "--format", "json", "energy", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256
 
 
 class TestEnumerate:

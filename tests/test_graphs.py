@@ -61,6 +61,16 @@ class TestGraphValue:
             with pytest.raises(ValueError, match="not symmetric"):
                 Graph(3, (0b110, 0b001, 0b000), e)
 
+    @pytest.mark.parametrize("rows", [
+        (0b110, 0b000, 0b000),  # above-diagonal bits without mirrors, even degree sum
+        (0b00, 0b01),  # a below-diagonal bit without its mirror
+        (0b010, 0b000, 0b001),  # one of each: the counts agree, the mirrors do not
+    ])
+    def test_rejects_asymmetry_in_either_direction(self, rows):
+        for e in (-1, sum(r.bit_count() for r in rows) // 2):
+            with pytest.raises(ValueError, match="not symmetric"):
+                Graph(len(rows), rows, e)
+
     def test_vertex_cap(self):
         with pytest.raises(SizeOverflowError):
             Graph(63, tuple([0] * 63))

@@ -20,6 +20,7 @@ from graphenergy import (
     eigenvalues,
     energy,
     energy_coulson,
+    energy_coulsons,
     family_graph,
     graph6_decode,
     make_b_graph,
@@ -280,6 +281,49 @@ class TestCoulson:
         g = disjoint_union(make_s_graph(11, 11), make_cycle(3))
         est = energy_coulson(char_poly(g))
         assert est.value == pytest.approx(energy(g), abs=1e-6)
+
+    def test_batch_equals_batches_of_one_bit_for_bit(self):
+        rng = random.Random(4242)
+        roots = (-3, -2, -1, 1, 2, 3)
+        # more than one chunk of one degree: D has degree 6 for each (no zero root)
+        same_degree = [CharPoly(_poly_from_roots([rng.choice(roots) for _ in range(6)]))
+                       for _ in range(spectral_mod._CHUNK + 20)]
+        assert {len(spectral_mod._abs2_coeffs(p)[1]) for p in same_degree} == {7}
+        sparse = [_sparse_connected(rng, n, 4) for n in (40, 62)]
+        graphs = [
+            make_complete(4), make_s_graph(5, 5), Graph(7, (0,) * 7),
+            disjoint_union(make_s_graph(11, 11), make_cycle(3)), make_complete(9), *sparse,
+        ] + [graph6_decode(s) for s in enumerate_connected(7, 10).graphs[:40]]
+        polys = [p for pair in zip(same_degree, [char_poly(g) for g in graphs]) for p in pair]
+        polys += same_degree[len(graphs):]
+        batch = energy_coulsons(polys)
+        assert batch == [energy_coulson(p) for p in polys]
+        assert batch[5] == spectral_mod.CoulsonEnergy(0.0, 0.0, 0)
+        for g, est in zip(graphs, batch[1::2]):
+            assert est.value == pytest.approx(energy(g), abs=1e-6)
+
+    def test_batch_answers_in_input_order(self):
+        polys = [char_poly(g) for g in (make_complete(4), make_cycle(5), make_s_graph(6, 6))]
+        assert energy_coulsons(polys[::-1]) == energy_coulsons(polys)[::-1]
+        assert energy_coulsons([]) == []
+
+    def test_batch_error_names_the_first_failing_polynomial(self):
+        # K2 meets 1e-10 within 60 evaluations; K4 and C5 do not
+        polys = [char_poly(g) for g in (make_complete(2), make_complete(4), make_cycle(5))]
+        energy_coulsons(polys[:1], tol=1e-10, max_evals=60)
+        with pytest.raises(QuadratureAccuracyError) as alone:
+            energy_coulson(polys[1], tol=1e-10, max_evals=60)
+        with pytest.raises(QuadratureAccuracyError) as err:
+            energy_coulsons(polys, tol=1e-10, max_evals=60)
+        assert err.value.estimate == alone.value.estimate == pytest.approx(6.0, abs=1e-3)
+        assert err.value.error_bound == alone.value.error_bound > 1e-10
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_batch_tolerance_is_checked_before_any_work(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            energy_coulsons([], tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            energy_coulsons([CharPoly((2, 0))], tol=tol)  # invalid, yet never read
 
     def test_additive_over_unions_through_the_integral(self):
         # the integral route never sees the components, yet must add up
