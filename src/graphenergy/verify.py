@@ -213,10 +213,6 @@ def _ineq(evidence: list, label: str, n: int, lhs_name: str, lhs: float,
     )
 
 
-def _union_energy_s_c3(n: int) -> float:
-    return energy(disjoint_union(make_s_graph(n - 3, n - 3), make_cycle(3)))
-
-
 def default_inequality_range() -> list[int]:
     return list(range(6, 21)) + [25, 30, 35, 40]
 
@@ -225,6 +221,14 @@ def check_family_inequalities(ctx: CheckContext) -> CheckResult:
     """Numeric verification of the pairwise family-energy inequalities."""
     t0 = time.perf_counter()
     ev: list[dict] = []
+    memo: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def energy_of(g: Graph) -> float:
+        # the items share most of their graphs: one eigensolve per distinct graph
+        key = (g.n, g.adj)
+        if key not in memo:
+            memo[key] = energy(g)
+        return memo[key]
 
     # fixed reference energies, five decimals
     for fam, want in [
@@ -239,7 +243,7 @@ def check_family_inequalities(ctx: CheckContext) -> CheckResult:
         ("S 5 7", 6.0),
         ("S 5 5", 5.62721),
     ]:
-        got = energy(family_graph(fam))
+        got = energy_of(family_graph(fam))
         ev.append(
             {
                 "item": "reference-energies",
@@ -255,30 +259,32 @@ def check_family_inequalities(ctx: CheckContext) -> CheckResult:
         for e in (n + 1, n + 2, n + 3):
             if e > 2 * n - 3 or e > 2 * (n - 2):
                 continue
-            es, eb = energy(make_s_graph(n, e)), energy(make_b_graph(n, e))
+            es, eb = energy_of(make_s_graph(n, e)), energy_of(make_b_graph(n, e))
             if e <= 1.5 * n - 3:
                 _ineq(ev, "star-vs-bipartite", n, f"E(S({n},{e}))", es, "<", f"E(B({n},{e}))", eb)
             elif e >= 1.5 * n - 2.5:
                 _ineq(ev, "star-vs-bipartite", n, f"E(B({n},{e}))", eb, "<", f"E(S({n},{e}))", es)
 
-        u3 = _union_energy_s_c3(n)
+        u3 = energy_of(disjoint_union(make_s_graph(n - 3, n - 3), make_cycle(3)))
         _ineq(ev, "triangle-union-vs-bicyclic", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
-              f"E(S({n},{n + 1}))", energy(make_s_graph(n, n + 1)))
+              f"E(S({n},{n + 1}))", energy_of(make_s_graph(n, n + 1)))
         _ineq(ev, "bicyclic-vs-unicyclic", n, f"E(S({n},{n + 1}))",
-              energy(make_s_graph(n, n + 1)), ">", f"E(S({n},{n}))", energy(make_s_graph(n, n)))
+              energy_of(make_s_graph(n, n + 1)), ">",
+              f"E(S({n},{n}))", energy_of(make_s_graph(n, n)))
         _ineq(ev, "triangle-union-vs-tricyclic", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
-              f"E(S({n},{n + 2}))", energy(make_s_graph(n, n + 2)))
+              f"E(S({n},{n + 2}))", energy_of(make_s_graph(n, n + 2)))
         _ineq(ev, "tricyclic-vs-unicyclic", n, f"E(S({n},{n + 2}))",
-              energy(make_s_graph(n, n + 2)), ">", f"E(S({n},{n}))", energy(make_s_graph(n, n)))
+              energy_of(make_s_graph(n, n + 2)), ">",
+              f"E(S({n},{n}))", energy_of(make_s_graph(n, n)))
 
         # quadrilateral union sits strictly below the triangle union
         if n >= 7:
-            u4 = energy(disjoint_union(make_cycle(4), make_s_graph(n - 4, n - 4)))
+            u4 = energy_of(disjoint_union(make_cycle(4), make_s_graph(n - 4, n - 4)))
             _ineq(ev, "quadrilateral-union-vs-triangle-union", n,
                   f"E(C4+S({n - 4},{n - 4}))", u4, "<", f"E(S({n - 3},{n - 3})+C3)", u3)
 
         # triangle union versus tetracyclic star family
-        et = energy(make_s_graph(n, n + 3))
+        et = energy_of(make_s_graph(n, n + 3))
         if n <= 14:
             _ineq(ev, "triangle-union-vs-tetracyclic", n,
                   f"E(S({n - 3},{n - 3})+C3)", u3, ">", f"E(S({n},{n + 3}))", et)
@@ -293,7 +299,7 @@ def check_family_inequalities(ctx: CheckContext) -> CheckResult:
 
         # tetracyclic star/bipartite crossover at n = 12
         if n >= 7:
-            es3, eb3 = energy(make_s_graph(n, n + 3)), energy(make_b_graph(n, n + 3))
+            es3, eb3 = energy_of(make_s_graph(n, n + 3)), energy_of(make_b_graph(n, n + 3))
             if n <= 11:
                 _ineq(ev, "tetracyclic-crossover", n, f"E(B({n},{n + 3}))", eb3, "<",
                       f"E(S({n},{n + 3}))", es3)
@@ -304,9 +310,10 @@ def check_family_inequalities(ctx: CheckContext) -> CheckResult:
     # tricyclic-bipartite family against the unicyclic star family, 7..9
     for n in (7, 8, 9):
         _ineq(ev, "tricyclic-bipartite-vs-unicyclic", n, f"E(B({n},{n + 2}))",
-              energy(make_b_graph(n, n + 2)), ">", f"E(S({n},{n}))", energy(make_s_graph(n, n)))
+              energy_of(make_b_graph(n, n + 2)), ">",
+              f"E(S({n},{n}))", energy_of(make_s_graph(n, n)))
     _ineq(ev, "tricyclic-bipartite-vs-unicyclic", 4, "E(K4)", 6.0, ">",
-          "E(S(4,4))", energy(make_s_graph(4, 4)))
+          "E(S(4,4))", energy_of(make_s_graph(4, 4)))
 
     passed = all(row["ok"] for row in ev)
     return CheckResult("family-inequalities", passed, ev, time.perf_counter() - t0)

@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
 import os
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphenergy import (
     CacheMissError,
@@ -28,6 +31,7 @@ from graphenergy.census import (
     census_digest,
     _generate_orderly,
     _generate_vertex_aug,
+    _is_max_code,
     _vertex_levels,
 )
 from graphenergy.graphs import bit_indices, relabel_rows
@@ -287,6 +291,97 @@ def test_determinism_across_runs():
         a = gen(6, 8)
         assert a == gen(6, 8)
         _assert_canonical_members(a[6, 8], 6, 8)
+
+
+def _code(rows, n, perm):
+    # the column code of the relabelling that puts vertex perm[i] at i
+    return tuple(rows[perm[i]] >> perm[j] & 1 for j in range(n) for i in range(j))
+
+
+def _relabelled(rows, perm):
+    return [
+        sum(1 << j for j, p in enumerate(perm) if rows[v] >> p & 1) for v in perm
+    ]
+
+
+def _rows_of(n, mask):
+    rows = [0] * n
+    for k, (i, j) in enumerate((i, j) for j in range(n) for i in range(j)):
+        if mask >> k & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+def test_max_code_matches_brute_force_through_n5():
+    # the oracle: the identity's code is the largest over all permutations;
+    # each isomorphism class has exactly one max-code labelling
+    for n, classes in zip(range(1, 6), (1, 2, 4, 11, 34)):
+        perms = list(itertools.permutations(range(n)))
+        maximal = 0
+        for mask in range(2 ** (n * (n - 1) // 2)):
+            rows = _rows_of(n, mask)
+            ident = _code(rows, n, range(n))
+            want = all(_code(rows, n, p) <= ident for p in perms)
+            assert _is_max_code(rows, n) == want, (n, rows)
+            maximal += want
+        assert maximal == classes, n
+
+
+def _isolate(rows, v):
+    for x in bit_indices(rows[v]):
+        rows[x] &= ~(1 << v)
+    rows[v] = 0
+
+
+@st.composite
+def _symmetric_rows(draw):
+    # planted twin pairs and isolated vertices give automorphisms, so the
+    # walk backjumps and skips first-path siblings by orbit
+    n = draw(st.integers(6, 7))
+    rows = _rows_of(n, draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+    vertex = st.integers(0, n - 1)
+    for u, v, joined in draw(st.lists(st.tuples(vertex, vertex, st.booleans()), max_size=3)):
+        if u == v:
+            continue
+        _isolate(rows, v)
+        rows[v] = rows[u]
+        for x in bit_indices(rows[v]):
+            rows[x] |= 1 << v
+        if joined:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    for v in draw(st.lists(vertex, max_size=3)):
+        _isolate(rows, v)
+    return n, rows
+
+
+@given(_symmetric_rows())
+@settings(max_examples=60, deadline=None)
+def test_max_code_matches_brute_force_at_n6_n7(drawn):
+    # the max-code labelling and its relabellings by one transposition pass
+    # the first-path check far more often than a random labelling
+    n, rows = drawn
+    best = max(itertools.permutations(range(n)), key=lambda p: _code(rows, n, p))
+    top = _relabelled(rows, best)
+    assert _code(top, n, range(n)) == _code(rows, n, best)
+    labellings = [rows, top]
+    for a, b in itertools.combinations(range(n), 2):
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        labellings.append(_relabelled(top, swap))
+    for r in labellings:
+        assert _is_max_code(r, n) == (_code(r, n, range(n)) == _code(top, n, range(n))), r
+
+
+@pytest.mark.parametrize(
+    "rows", [[0] * 10, [0b1110, 1, 1, 1] + [0] * 6], ids=["edgeless-10", "K13-plus-6"]
+)
+def test_max_code_walk_finishes_on_symmetric_inputs(rows):
+    # an unpruned walk visits 10! and 3! * 6! leaves on these
+    t0 = time.perf_counter()
+    assert _is_max_code(rows, 10)
+    assert time.perf_counter() - t0 < 1.0
 
 
 class TestCache:
