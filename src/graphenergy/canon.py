@@ -2,9 +2,31 @@
 
 The search refines a vertex colouring to equitability, branches on the first
 non-singleton cell, and keeps the lexicographically smallest relabelled
-adjacency as the canonical certificate. Automorphisms discovered when two
-branches reach the same certificate prune sibling branches, which keeps
-highly symmetric graphs (stars, complete bipartite pieces) cheap.
+adjacency as the canonical certificate. It prunes with the first-path design
+of McKay & Piperno, "Practical graph isomorphism II" (J. Symbolic Comput.
+60, 2014); refinement commutes with relabelling, so an automorphism that
+fixes a node's base maps the subtree of one child onto that of another,
+leaf for leaf with equal certificates. Hence:
+
+* Backjump. A leaf with the first leaf's certificate gives an automorphism
+  mapping the first path onto the current one. It fixes the base of their
+  deepest common node and maps that node's first child onto the child being
+  searched, whose subtree is thus an image of one already searched: the
+  search returns straight to the first path.
+* Per-node orbits. A node skips a child in the orbit of an explored child
+  under the automorphisms found so far that fix its base. A union-find over
+  them is built once per node and takes one union pass per automorphism
+  found below it.
+* Group order. At a first-path node every automorphism found so far fixes
+  its base, as each was found below a first-path node at least as deep.
+  When the node finishes, each child in the orbit of its first child under
+  the base's stabiliser was either reached by a found automorphism or skipped
+  as the image of one that was, so the union-find holds that orbit. By
+  orbit-stabiliser the group order is the product of these orbit sizes down
+  the first path, and the automorphisms found generate the group (Schreier).
+* No cap. Each automorphism found maps the first child onto a child outside
+  its orbit under all those found before (which fix the node's base), so it
+  joins two orbits of their group on n vertices: at most n - 1 are stored.
 
 Hot paths work on raw adjacency bitmask rows; ``Graph`` objects only appear
 at the public wrappers. The tests cross-check the isomorphism relation and
@@ -18,8 +40,6 @@ from dataclasses import dataclass
 
 from .graph6 import encode_rows
 from .graphs import Graph, bit_indices, dsu_find, relabel_rows
-
-_MAX_STORED_AUTOS = 3000
 
 
 @dataclass(frozen=True)
@@ -76,76 +96,71 @@ def _individualize(colors: list[int], v: int) -> list[int]:
     return out
 
 
-def _compose_auto(pi1, pi2, n):
-    """Automorphism sending v to pi2^-1(pi1(v)) for two equal-certificate leaves."""
-    inv2 = sorted(range(n), key=pi2.__getitem__)
-    return tuple(map(inv2.__getitem__, pi1))
+def _canonical_search(nbrs: list[list[int]], n: int):
+    """Return (cert, perm, autos, group_order) over the refinement tree.
 
-
-def _canonical_search(nbrs: list[list[int]], n: int, colors0: list[int]):
-    """Return (best_rows, best_perm, autos) over the refinement tree."""
-    best: list = [None, None]  # cert rows, perm
-    first: list = [None, None]
+    ``cert`` is the least relabelled adjacency over all leaves and ``perm``
+    the first leaf giving it (vertex v goes to ``perm[v]``); ``autos``
+    generate the automorphism group, of order ``group_order``.
+    """
+    first: list = []  # cert, perm of the first leaf
+    best: list = []
     autos: list[tuple[int, ...]] = []
-    seen_autos: set[tuple[int, ...]] = set()
     base: list[int] = []
-    identity = tuple(range(n))
+    order = 1
 
-    def record(pi1, pi2):
-        sigma = _compose_auto(pi1, pi2, n)
-        if sigma != identity and sigma not in seen_autos:
-            seen_autos.add(sigma)
-            if len(autos) < _MAX_STORED_AUTOS:
-                autos.append(sigma)
-
-    def dfs(colors):
+    def dfs(colors: list[int], on_first: bool) -> bool:
+        # True: this subtree found an automorphism; unwind to the first path
+        nonlocal order
         colors, cell = _refine(nbrs, n, colors)
         if cell is None:
             # a discrete colouring is a permutation: vertex v goes to colors[v]
             cert, perm = relabel_rows(nbrs, colors), tuple(colors)
-            if first[0] is None:
-                first[0], first[1] = cert, perm
-            elif cert == first[0] and perm != first[1]:
-                record(first[1], perm)
-            if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, perm
-            elif cert == best[0] and perm != best[1]:
-                record(best[1], perm)
-            return
+            if not first:
+                first[:] = best[:] = cert, perm
+            elif cert == first[0]:  # an automorphism: first path onto this one
+                inv = sorted(range(n), key=perm.__getitem__)
+                autos.append(tuple(map(inv.__getitem__, first[1])))
+                return True
+            elif cert < best[0]:
+                best[:] = cert, perm
+            return False
+        orbits = list(range(n))  # of the automorphisms found so far that fix base
+        merged = 0  # how many of them orbits holds
         explored: list[int] = []
         for v in cell:
-            if explored and autos:
-                parent = list(range(n))
-                for sigma in autos:
-                    for b in base:
-                        if sigma[b] != b:
-                            break
-                    else:
-                        for u in range(n):
-                            ru, rs = dsu_find(parent, u), dsu_find(parent, sigma[u])
-                            if ru != rs:
-                                parent[ru] = rs
-                rv = dsu_find(parent, v)
-                if any(dsu_find(parent, u) == rv for u in explored):
-                    continue
+            rv = dsu_find(orbits, v)
+            if any(dsu_find(orbits, u) == rv for u in explored):
+                continue
             explored.append(v)
             base.append(v)
-            dfs(_individualize(colors, v))
+            found = dfs(_individualize(colors, v), on_first and v == cell[0])
             base.pop()
+            if found and not on_first:
+                return True
+            for sigma in autos[merged:]:
+                if all(sigma[b] == b for b in base):
+                    for i, j in enumerate(sigma):
+                        orbits[dsu_find(orbits, i)] = dsu_find(orbits, j)
+            merged = len(autos)
+        if on_first:
+            r0 = dsu_find(orbits, cell[0])
+            order *= sum(1 for v in cell if dsu_find(orbits, v) == r0)
+        return False
 
-    dfs(list(colors0))
-    return best[0], best[1], autos
+    dfs([0] * n, True)
+    return best[0], best[1], autos, order
 
 
 def _canonical_rows_autos(n: int, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical rows plus the automorphisms the search found, in canonical labels.
 
-    They generate a subgroup of the canonical image's automorphism group. An
-    automorphism ``s`` of the input becomes ``t`` with
-    ``t[perm[v]] = perm[s[v]]``, so no second search runs.
+    They generate the canonical image's automorphism group. An automorphism
+    ``s`` of the input becomes ``t`` with ``t[perm[v]] = perm[s[v]]``, so no
+    second search runs.
     """
     nbrs = [bit_indices(row) for row in rows]
-    cert, perm, autos = _canonical_search(nbrs, n, [0] * n)
+    cert, perm, autos, _ = _canonical_search(nbrs, n)
     gens = []
     for s in autos:
         t = [0] * n
@@ -167,7 +182,7 @@ def canonical_g6(n: int, rows) -> str:
 def canonicalize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Canonical image of ``g`` and the relabelling that produces it."""
     nbrs = [bit_indices(row) for row in g.adj]
-    cert, perm, _ = _canonical_search(nbrs, g.n, [0] * g.n)
+    cert, perm, _, _ = _canonical_search(nbrs, g.n)
     return Graph(g.n, cert, g.e), perm
 
 
@@ -177,23 +192,5 @@ def canonical_label(g: Graph) -> CanonicalForm:
 
 
 def aut_order(g: Graph) -> int:
-    """Exact automorphism-group order via orbit-stabilizer along a base."""
-    nbrs = [bit_indices(row) for row in g.adj]
-    n = g.n
-    colors = [0] * n
-    order = 1
-
-    def colored_cert(cols):
-        return _canonical_search(nbrs, n, cols)[0]
-
-    while True:
-        colors, cell = _refine(nbrs, n, colors)
-        if cell is None:
-            return order
-        v0 = cell[0]
-        ref = colored_cert(_individualize(colors, v0))
-        orbit = sum(
-            1 for u in cell if u == v0 or colored_cert(_individualize(colors, u)) == ref
-        )
-        order *= orbit
-        colors = _individualize(colors, v0)
+    """Exact automorphism-group order, by orbit-stabiliser along the first path."""
+    return _canonical_search([bit_indices(row) for row in g.adj], g.n)[3]

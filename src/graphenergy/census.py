@@ -222,8 +222,8 @@ def _vertex_levels(n: int, e: int):
     """Each level of vertex augmentation towards (n, e), from one vertex up.
 
     A level maps the canonical rows of a connected k-vertex graph to its edge
-    count and generators of (a subgroup of) its automorphism group, written
-    in the canonical labelling. Neighbourhood subsets in one orbit of that
+    count and generators of its automorphism group, written in the canonical
+    labelling. Neighbourhood subsets in one orbit of that
     group give isomorphic children, so only one per orbit is canonicalised
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
     """

@@ -140,13 +140,38 @@ def _expect_rank(report: RankReport, index: int, family: str) -> dict:
     }
 
 
-def _theorem_check(name: str, claims, cache_dir) -> CheckResult:
+# (n, e) -> (rank, family) pairs that the bicyclic (e = n + 1), tricyclic
+# (e = n + 2) and tetracyclic (e = n + 3) theorems claim, in evidence order
+CLAIMS = {
+    (4, 5): ((0, "S 4 5"),),
+    (5, 6): ((0, "B 5 6"), (1, "S 5 6")),
+    (6, 7): ((0, "B 6 7"), (2, "S 6 7")),
+    (7, 8): ((0, "B 7 8"), (1, "S 7 8")),
+    (8, 9): ((0, "S 8 9"),),
+    (9, 10): ((0, "S 9 10"),),
+    (4, 6): ((0, "K 4"),),
+    (5, 7): ((0, "S 5 7"),),
+    (6, 8): ((0, "B 6 8"), (1, "S 6 8")),
+    (7, 9): ((0, "B 7 9"),),
+    (8, 10): ((0, "B 8 10"),),
+    (9, 11): ((0, "B 9 11"),),
+    (5, 8): ((0, "W 5"),),
+    (6, 9): ((0, "Kb 3 3"), (1, "S 6 9")),
+    (7, 10): ((0, "B 7 10"), (1, "S 7 10")),
+    (8, 11): ((0, "B 8 11"),),
+    (9, 12): ((0, "B 9 12"),),
+}
+
+
+def _theorem_check(name: str, excess: int, cache_dir) -> CheckResult:
+    """Rank every ``CLAIMS`` class with e = n + ``excess`` and compare its claims."""
     t0 = time.perf_counter()
     evidence = []
-    for n, e, rank_expect in claims:
-        report = rank_class(n, e, cache_dir)
-        for index, family in rank_expect:
-            evidence.append(_expect_rank(report, index, family))
+    for (n, e), claims in CLAIMS.items():
+        if e - n == excess:
+            report = rank_class(n, e, cache_dir)
+            for index, family in claims:
+                evidence.append(_expect_rank(report, index, family))
     evidence.append(
         {
             "item": "coverage-note",
@@ -161,40 +186,17 @@ def _theorem_check(name: str, claims, cache_dir) -> CheckResult:
 
 def check_theorem_bicyclic(ctx: CheckContext) -> CheckResult:
     """Minimal-energy families among connected (n, n+1)-graphs, 4 <= n <= 9."""
-    claims = [
-        (4, 5, [(0, "S 4 5")]),
-        (5, 6, [(0, "B 5 6"), (1, "S 5 6")]),
-        (6, 7, [(0, "B 6 7"), (2, "S 6 7")]),
-        (7, 8, [(0, "B 7 8"), (1, "S 7 8")]),
-        (8, 9, [(0, "S 8 9")]),
-        (9, 10, [(0, "S 9 10")]),
-    ]
-    return _theorem_check("bicyclic", claims, ctx.cache_dir)
+    return _theorem_check("bicyclic", 1, ctx.cache_dir)
 
 
 def check_theorem_tricyclic(ctx: CheckContext) -> CheckResult:
     """Minimal-energy families among connected (n, n+2)-graphs, 4 <= n <= 9."""
-    claims = [
-        (4, 6, [(0, "K 4")]),
-        (5, 7, [(0, "S 5 7")]),
-        (6, 8, [(0, "B 6 8"), (1, "S 6 8")]),
-        (7, 9, [(0, "B 7 9")]),
-        (8, 10, [(0, "B 8 10")]),
-        (9, 11, [(0, "B 9 11")]),
-    ]
-    return _theorem_check("tricyclic", claims, ctx.cache_dir)
+    return _theorem_check("tricyclic", 2, ctx.cache_dir)
 
 
 def check_theorem_tetracyclic(ctx: CheckContext) -> CheckResult:
     """Minimal-energy families among connected (n, n+3)-graphs, 5 <= n <= 9."""
-    claims = [
-        (5, 8, [(0, "W 5")]),
-        (6, 9, [(0, "Kb 3 3"), (1, "S 6 9")]),
-        (7, 10, [(0, "B 7 10"), (1, "S 7 10")]),
-        (8, 11, [(0, "B 8 11")]),
-        (9, 12, [(0, "B 9 12")]),
-    ]
-    return _theorem_check("tetracyclic", claims, ctx.cache_dir)
+    return _theorem_check("tetracyclic", 3, ctx.cache_dir)
 
 
 def _ineq(evidence: list, label: str, n: int, lhs_name: str, lhs: float,

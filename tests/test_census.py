@@ -14,6 +14,7 @@ from graphenergy import (
     Graph,
     GraphClassCensus,
     ScaleError,
+    aut_order,
     canonical_label,
     census_cache_load,
     census_cache_store,
@@ -164,6 +165,28 @@ def test_vertex_levels_carry_automorphisms():
     # every level that is augmented again carries generators; the last none
     assert all(any(gens for _, gens in level.values()) for level in levels[1:-1])
     assert not any(gens for _, gens in levels[-1].values())
+
+
+def _group_order(n, gens):
+    """Order of the permutation group ``gens`` generate, by closure from the identity."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    for p in todo:
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen)
+
+
+def test_vertex_levels_generate_the_whole_group():
+    # the generators of each level that is augmented again generate the whole
+    # automorphism group, not a subgroup, and number at most n - 1
+    for level in list(_vertex_levels(8, 11))[:-1]:
+        for rows, (m, gens) in level.items():
+            assert len(gens) < len(rows)
+            assert _group_order(len(rows), gens) == aut_order(Graph(len(rows), rows, m))
 
 
 def test_planted_non_automorphism_loses_classes(monkeypatch):
