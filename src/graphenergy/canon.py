@@ -183,7 +183,7 @@ def canonicalize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Canonical image of ``g`` and the relabelling that produces it."""
     nbrs = [bit_indices(row) for row in g.adj]
     cert, perm, _, _ = _canonical_search(nbrs, g.n)
-    return Graph(g.n, cert, g.e), perm
+    return Graph(g.n, cert), perm
 
 
 def canonical_label(g: Graph) -> CanonicalForm:

@@ -8,6 +8,7 @@ keep enumeration and refinement fast.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -56,21 +57,26 @@ def dsu_find(parent: list[int], x: int) -> int:
     return x
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise SizeOverflowError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    ``adj[v]`` is the neighbour bitset of v. All edit operations return new
-    values; instances are safe to share across threads.
+    ``adj[v]`` is the neighbour bitset of v; the edge count ``e`` is derived
+    from the rows. All edit operations return new values; instances are safe
+    to share across threads.
     """
 
     n: int
     adj: tuple[int, ...]
-    e: int = field(default=-1)
+    e: int = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise SizeOverflowError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         deg_sum = 0
@@ -90,25 +96,25 @@ class Graph:
         # diagonal, so equal counts leave no above-diagonal bit unmirrored
         if 2 * below != deg_sum:
             raise ValueError("adjacency relation is not symmetric")
-        if self.e == -1:
-            object.__setattr__(self, "e", deg_sum // 2)
-        elif self.e != deg_sum // 2:
-            raise ValueError("cached edge count disagrees with adjacency")
+        object.__setattr__(self, "e", deg_sum // 2)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph on n vertices; ``edges`` is read only once n is in range.
+
+        The family constructors pass lazy edge iterables, so an oversized
+        family fails here before any edge is made.
+        """
+        _check_order(n)
         rows = [0] * n
-        count = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) rejected")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            if not rows[u] >> v & 1:
-                count += 1
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows), count)
+        return cls(n, tuple(rows))
 
     def edges(self) -> list[Edge]:
         return [
@@ -157,7 +163,7 @@ class Graph:
     def relabeled(self, perm) -> "Graph":
         """Image under ``perm``: old vertex v becomes ``perm[v]``."""
         nbrs = [bit_indices(row) for row in self.adj]
-        return Graph(self.n, relabel_rows(nbrs, perm), self.e)
+        return Graph(self.n, relabel_rows(nbrs, perm))
 
     def adjacency_matrix(self):
         import numpy as np
@@ -189,8 +195,9 @@ def make_s_graph(n: int, e: int) -> Graph:
         raise InvalidFamilyError(f"S({n},{e}): requires e >= n-1 = {n - 1}")
     if e > 2 * n - 3:
         raise InvalidFamilyError(f"S({n},{e}): requires e <= 2n-3 = {2 * n - 3}")
-    edges = [(0, v) for v in range(1, n)]
-    edges += [(1, v) for v in range(2, e - n + 3)]
+    edges = itertools.chain(
+        ((0, v) for v in range(1, n)), ((1, v) for v in range(2, e - n + 3))
+    )
     return Graph.from_edges(n, edges)
 
 
@@ -206,42 +213,43 @@ def make_b_graph(n: int, e: int) -> Graph:
         raise InvalidFamilyError(f"B({n},{e}): requires e >= n-1 = {n - 1}")
     if e > 2 * (n - 2):
         raise InvalidFamilyError(f"B({n},{e}): requires e <= 2(n-2) = {2 * (n - 2)}")
-    edges = [(0, w) for w in range(2, n)]
-    edges += [(1, w) for w in range(2, 2 + e - (n - 2))]
+    edges = itertools.chain(
+        ((0, w) for w in range(2, n)), ((1, w) for w in range(2, 2 + e - (n - 2)))
+    )
     return Graph.from_edges(n, edges)
 
 
 def make_star(n: int) -> Graph:
     if n < 2:
         raise InvalidFamilyError(f"Star({n}): requires n >= 2")
-    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+    return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
 def make_cycle(k: int) -> Graph:
     if k < 3:
         raise InvalidFamilyError(f"C({k}): requires k >= 3")
-    return Graph.from_edges(k, [(v, (v + 1) % k) for v in range(k)])
+    return Graph.from_edges(k, ((v, (v + 1) % k) for v in range(k)))
 
 
 def make_complete(k: int) -> Graph:
     if k < 1:
         raise InvalidFamilyError(f"K({k}): requires k >= 1")
-    return Graph.from_edges(k, itertools.combinations(range(k), 2))
+    return Graph.from_edges(k, ((u, v) for u in range(k) for v in range(u + 1, k)))
 
 
 def make_complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise InvalidFamilyError(f"K({a},{b}): requires both parts >= 1")
-    return Graph.from_edges(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+    return Graph.from_edges(a + b, ((u, a + w) for u in range(a) for w in range(b)))
 
 
 def make_wheel(k: int) -> Graph:
     """Hub (vertex 0) joined to every vertex of a (k-1)-cycle; k vertices total."""
     if k < 4:
         raise InvalidFamilyError(f"W({k}): requires k >= 4")
-    rim = [(v, v % (k - 1) + 1) for v in range(1, k)]
-    hub = [(0, v) for v in range(1, k)]
-    return Graph.from_edges(k, rim + hub)
+    rim = ((v, v % (k - 1) + 1) for v in range(1, k))
+    hub = ((0, v) for v in range(1, k))
+    return Graph.from_edges(k, itertools.chain(rim, hub))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -250,7 +258,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
             f"disjoint union needs {g.n + h.n} vertices; limit is {MAX_VERTICES}"
         )
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows), g.e + h.e)
+    return Graph(g.n + h.n, tuple(rows))
 
 
 def delete_edges(g: Graph, edges) -> Graph:
@@ -263,99 +271,33 @@ def delete_edges(g: Graph, edges) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-# --- named-family specifications -------------------------------------------
+# --- named-family expressions ----------------------------------------------
 
-_KINDS = {
-    "star",
-    "s",
-    "b",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "wheel",
-    "union",
+# (lower-case name, parameter count) -> constructor: the one family catalogue
+FAMILIES = {
+    ("s", 2): make_s_graph,
+    ("b", 2): make_b_graph,
+    ("c", 1): make_cycle,
+    ("k", 1): make_complete,
+    ("k", 2): make_complete_bipartite,
+    ("kb", 2): make_complete_bipartite,
+    ("w", 1): make_wheel,
+    ("star", 1): make_star,
 }
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Symbolic description of a named graph family instance."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-    parts: tuple["FamilySpec", ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidFamilyError(f"unknown family kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "union":
-            return " + ".join(p.describe() for p in self.parts)
-        name = {
-            "star": "Star",
-            "s": "S",
-            "b": "B",
-            "cycle": "C",
-            "complete": "K",
-            "complete_bipartite": "K",
-            "wheel": "W",
-        }[self.kind]
-        return f"{name}({','.join(map(str, self.params))})"
-
-
-def make_named(spec: FamilySpec) -> Graph:
-    k = spec.kind
-    p = spec.params
-    if k == "union":
-        if not spec.parts:
-            raise InvalidFamilyError("empty union")
-        g = make_named(spec.parts[0])
-        for part in spec.parts[1:]:
-            g = disjoint_union(g, make_named(part))
-        return g
-    arity = {"star": 1, "cycle": 1, "complete": 1, "wheel": 1, "s": 2, "b": 2,
-             "complete_bipartite": 2}[k]
-    if len(p) != arity:
-        raise InvalidFamilyError(f"{k} expects {arity} parameter(s), got {len(p)}")
-    if k == "star":
-        return make_star(*p)
-    if k == "s":
-        return make_s_graph(*p)
-    if k == "b":
-        return make_b_graph(*p)
-    if k == "cycle":
-        return make_cycle(*p)
-    if k == "complete":
-        return make_complete(*p)
-    if k == "complete_bipartite":
-        return make_complete_bipartite(*p)
-    return make_wheel(*p)
-
 
 _TERM_RE = re.compile(r"^\s*([A-Za-z]+)\s*([\d\s,]*)\s*$")
 
-_NAME_TO_KIND = {
-    ("s", 2): "s",
-    ("b", 2): "b",
-    ("c", 1): "cycle",
-    ("k", 1): "complete",
-    ("k", 2): "complete_bipartite",
-    ("kb", 2): "complete_bipartite",
-    ("w", 1): "wheel",
-    ("star", 1): "star",
-}
 
-
-def parse_family(text: str) -> FamilySpec:
-    """Parse the family mini-language: "S 7 7", "K4", "Kb 3 3", "C3 + C3"...
+def family_graph(text: str) -> Graph:
+    """Build a family expression: "S 7 7", "K4", "Kb 3 3", "C3 + C3"...
 
     Terms are joined with "+" for disjoint unions; parameters may be separated
     by spaces or commas, or run straight after a single-letter name ("W5").
+    Every term is parsed before any is built; the parts are then built and
+    joined left to right.
     """
-    chunks = text.split("+")
-    specs = []
-    for chunk in chunks:
+    terms = []
+    for chunk in text.split("+"):
         m = _TERM_RE.match(chunk)
         if not m:
             raise FamilyParseError(f"cannot parse family term {chunk.strip()!r}")
@@ -363,17 +305,10 @@ def parse_family(text: str) -> FamilySpec:
         nums = re.findall(r"\d+", m.group(2))
         if not nums:
             raise FamilyParseError(f"family term {chunk.strip()!r} has no parameters")
-        key = (name.lower(), len(nums))
-        if key not in _NAME_TO_KIND:
+        make = FAMILIES.get((name.lower(), len(nums)))
+        if make is None:
             raise FamilyParseError(
                 f"unknown family {name!r} with {len(nums)} parameter(s)"
             )
-        specs.append(FamilySpec(_NAME_TO_KIND[key], tuple(int(x) for x in nums)))
-    if len(specs) == 1:
-        return specs[0]
-    return FamilySpec("union", (), tuple(specs))
-
-
-def family_graph(text: str) -> Graph:
-    """Convenience: parse a family expression and build the graph."""
-    return make_named(parse_family(text))
+        terms.append((make, [int(x) for x in nums]))
+    return functools.reduce(disjoint_union, (make(*nums) for make, nums in terms))

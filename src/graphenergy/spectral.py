@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphEnergyError, InvalidFamilyError, QuadratureAccuracyError
-from .graphs import FamilySpec, Graph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -231,24 +231,21 @@ def energy(g: Graph) -> float:
     return eigenvalues(g).energy
 
 
-def closed_form_charpoly(spec: FamilySpec) -> CharPoly:
+def closed_form_charpoly(n: int, e: int) -> CharPoly:
     """Reference closed forms for S(n,n), S(n,n+2), S(n,n+3); oracle for char_poly.
 
     Only x^n, x^(n-2), x^(n-3), x^(n-4) carry non-zero coefficients, so n >= 6
     keeps the four contributing powers distinct.
     """
-    if spec.kind != "s" or len(spec.params) != 2:
-        raise InvalidFamilyError(f"no closed form for {spec.describe()}")
-    n, e = spec.params
     if n < 6:
-        raise InvalidFamilyError(f"closed form for {spec.describe()} requires n >= 6")
+        raise InvalidFamilyError(f"closed form for S({n},{e}) requires n >= 6")
     table = {
         0: (n, 2, n - 3),
         2: (n + 2, 6, 3 * n - 15),
         3: (n + 3, 8, 4 * n - 24),
     }
     if e - n not in table:
-        raise InvalidFamilyError(f"no closed form for {spec.describe()}")
+        raise InvalidFamilyError(f"no closed form for S({n},{e})")
     x2, x3, x4 = table[e - n]
     coeffs = [1, 0, -x2, -x3, x4] + [0] * (n - 4)
     return CharPoly(tuple(coeffs))

@@ -1,13 +1,15 @@
 """Executable verification checks with pass/fail results and numeric evidence.
 
 Every check is called as ``check(ctx)`` with one :class:`CheckContext` and
-returns a :class:`CheckResult` whose evidence rows carry every value compared,
-so a failure localizes immediately (enumeration, spectra, or family
-constructors). Checks are deterministic given their seed.
+returns its evidence rows, which carry every value compared, so a failure
+localizes immediately (enumeration, spectra, or family constructors).
+:func:`run_checks` times each check and passes it when every row is ok.
+Checks are deterministic given their seed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from .census import PINNED, census_digest, enumerate_connected, get_census
 from .classify import ClassKind, classify, is_bipartite, is_edge_cut
 from .graphs import (
-    FamilySpec,
     Graph,
     disjoint_union,
     delete_edges,
@@ -163,13 +164,12 @@ CLAIMS = {
 }
 
 
-def _theorem_check(name: str, excess: int, cache_dir) -> CheckResult:
+def _theorem_check(ctx: CheckContext, excess: int) -> list[dict]:
     """Rank every ``CLAIMS`` class with e = n + ``excess`` and compare its claims."""
-    t0 = time.perf_counter()
     evidence = []
     for (n, e), claims in CLAIMS.items():
         if e - n == excess:
-            report = rank_class(n, e, cache_dir)
+            report = rank_class(n, e, ctx.cache_dir)
             for index, family in claims:
                 evidence.append(_expect_rank(report, index, family))
     evidence.append(
@@ -180,23 +180,7 @@ def _theorem_check(name: str, excess: int, cache_dir) -> CheckResult:
             "ok": True,
         }
     )
-    passed = all(row["ok"] for row in evidence)
-    return CheckResult(name, passed, evidence, time.perf_counter() - t0)
-
-
-def check_theorem_bicyclic(ctx: CheckContext) -> CheckResult:
-    """Minimal-energy families among connected (n, n+1)-graphs, 4 <= n <= 9."""
-    return _theorem_check("bicyclic", 1, ctx.cache_dir)
-
-
-def check_theorem_tricyclic(ctx: CheckContext) -> CheckResult:
-    """Minimal-energy families among connected (n, n+2)-graphs, 4 <= n <= 9."""
-    return _theorem_check("tricyclic", 2, ctx.cache_dir)
-
-
-def check_theorem_tetracyclic(ctx: CheckContext) -> CheckResult:
-    """Minimal-energy families among connected (n, n+3)-graphs, 5 <= n <= 9."""
-    return _theorem_check("tetracyclic", 3, ctx.cache_dir)
+    return evidence
 
 
 def _ineq(evidence: list, label: str, n: int, lhs_name: str, lhs: float,
@@ -219,9 +203,8 @@ def default_inequality_range() -> list[int]:
     return list(range(6, 21)) + [25, 30, 35, 40]
 
 
-def check_family_inequalities(ctx: CheckContext) -> CheckResult:
+def check_family_inequalities(ctx: CheckContext) -> list[dict]:
     """Numeric verification of the pairwise family-energy inequalities."""
-    t0 = time.perf_counter()
     ev: list[dict] = []
     memo: dict[tuple[int, tuple[int, ...]], float] = {}
 
@@ -316,21 +299,17 @@ def check_family_inequalities(ctx: CheckContext) -> CheckResult:
               f"E(S({n},{n}))", energy_of(make_s_graph(n, n)))
     _ineq(ev, "tricyclic-bipartite-vs-unicyclic", 4, "E(K4)", 6.0, ">",
           "E(S(4,4))", energy_of(make_s_graph(4, 4)))
-
-    passed = all(row["ok"] for row in ev)
-    return CheckResult("family-inequalities", passed, ev, time.perf_counter() - t0)
+    return ev
 
 
-def check_closed_forms(ctx: CheckContext) -> CheckResult:
+def check_closed_forms(ctx: CheckContext) -> list[dict]:
     """Exact agreement of computed polynomials with the reference closed forms, 6 <= n <= 12."""
-    t0 = time.perf_counter()
     ev = []
     for n in range(6, 13):
         for e_off in (0, 2, 3):
             e = n + e_off
-            spec = FamilySpec("s", (n, e))
             got = char_poly(make_s_graph(n, e)).coeffs
-            want = closed_form_charpoly(spec).coeffs
+            want = closed_form_charpoly(n, e).coeffs
             ev.append(
                 {
                     "item": "closed-form",
@@ -351,8 +330,7 @@ def check_closed_forms(ctx: CheckContext) -> CheckResult:
                 "ok": b4 == 4 * n - 24 and b4 != 4 * n - 18,
             }
         )
-    passed = all(row["ok"] for row in ev)
-    return CheckResult("closed-forms", passed, ev, time.perf_counter() - t0)
+    return ev
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -362,9 +340,8 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def check_edge_cut_lemma(ctx: CheckContext) -> CheckResult:
+def check_edge_cut_lemma(ctx: CheckContext) -> list[dict]:
     """Energy never increases when an edge cut is deleted; seeded trials."""
-    t0 = time.perf_counter()
     rng = random.Random(ctx.seed)
     ev = []
     violations = 0
@@ -427,12 +404,11 @@ def check_edge_cut_lemma(ctx: CheckContext) -> CheckResult:
             "ok": violations == 0,
         }
     )
-    return CheckResult("edge-cut", violations == 0, ev, time.perf_counter() - t0)
+    return ev
 
 
-def check_census_counts(ctx: CheckContext) -> CheckResult:
+def check_census_counts(ctx: CheckContext) -> list[dict]:
     """Each pinned class's count and digest, plus two-strategy agreement."""
-    t0 = time.perf_counter()
     enumerate_connected(*VERTEX_WALK, strategy="vertex")  # fills every agreement class
     ev = []
     for (n, e), (count, digest) in sorted(PINNED.items()):
@@ -449,8 +425,7 @@ def check_census_counts(ctx: CheckContext) -> CheckResult:
                    "actual": len(edge)}
             ok = len(edge) == count
         ev.append({**row, "digest_matches_pin": digest_ok, "ok": ok and digest_ok})
-    passed = all(row["ok"] for row in ev)
-    return CheckResult("census", passed, ev, time.perf_counter() - t0)
+    return ev
 
 
 # Vertex-disjoint class-2 counts per bicyclic census, frozen from enumeration,
@@ -465,9 +440,8 @@ CLASS_SPLIT_EXPECTED = {
 }
 
 
-def check_class_split(ctx: CheckContext) -> CheckResult:
+def check_class_split(ctx: CheckContext) -> list[dict]:
     """Class-1/class-2 split of bicyclic censuses under both disjointness readings."""
-    t0 = time.perf_counter()
     ev = []
     for (n, e), want in sorted(CLASS_SPLIT_EXPECTED.items()):
         census = get_census(n, e, ctx.cache_dir)
@@ -512,13 +486,11 @@ def check_class_split(ctx: CheckContext) -> CheckResult:
                 "ok": ok,
             }
         )
-    passed = all(row["ok"] for row in ev)
-    return CheckResult("class-split", passed, ev, time.perf_counter() - t0)
+    return ev
 
 
-def check_dual_energy(ctx: CheckContext) -> CheckResult:
+def check_dual_energy(ctx: CheckContext) -> list[dict]:
     """Eigenvalue energy versus contour-integral energy over whole censuses."""
-    t0 = time.perf_counter()
     ev = []
     worst = 0.0
     censuses = [get_census(n, e, ctx.cache_dir) for n, e in DUAL_ENERGY_CLASSES]
@@ -548,15 +520,16 @@ def check_dual_energy(ctx: CheckContext) -> CheckResult:
         )
     ev.append({"item": "summary", "worst_difference": worst, "tolerance": DUAL_ENERGY_TOL,
                "ok": worst <= DUAL_ENERGY_TOL})
-    passed = all(row["ok"] for row in ev)
-    return CheckResult("dual-energy", passed, ev, time.perf_counter() - t0)
+    return ev
 
 
+# name -> check(ctx) returning evidence rows; the theorem checks cover the
+# CLAIMS classes with e = n + 1, n + 2 and n + 3
 CHECKS = {
     "census": check_census_counts,
-    "bicyclic": check_theorem_bicyclic,
-    "tricyclic": check_theorem_tricyclic,
-    "tetracyclic": check_theorem_tetracyclic,
+    "bicyclic": functools.partial(_theorem_check, excess=1),
+    "tricyclic": functools.partial(_theorem_check, excess=2),
+    "tetracyclic": functools.partial(_theorem_check, excess=3),
     "closed-forms": check_closed_forms,
     "family-inequalities": check_family_inequalities,
     "edge-cut": check_edge_cut_lemma,
@@ -566,11 +539,19 @@ CHECKS = {
 
 
 def run_checks(names=None, ctx: CheckContext = CheckContext()) -> list[CheckResult]:
+    """Run the named checks (default all); each passes when every evidence row is ok."""
     selected = list(CHECKS) if not names or names == ["all"] else list(names)
     unknown = [x for x in selected if x not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check(s): {', '.join(unknown)}")
-    return [CHECKS[name](ctx) for name in selected]
+    results = []
+    for name in selected:
+        t0 = time.perf_counter()
+        rows = CHECKS[name](ctx)
+        results.append(
+            CheckResult(name, all(row["ok"] for row in rows), rows, time.perf_counter() - t0)
+        )
+    return results
 
 
 def render_text(results: list[CheckResult]) -> str:

@@ -28,17 +28,7 @@ from graphenergy import (
 from graphenergy import census
 from graphenergy.census import PINNED
 from graphenergy.classify import is_bipartite
-from graphenergy.graphs import FamilySpec
-from graphenergy.verify import (
-    CheckContext,
-    check_census_counts,
-    check_edge_cut_lemma,
-    check_family_inequalities,
-    check_theorem_bicyclic,
-    check_theorem_tetracyclic,
-    check_theorem_tricyclic,
-    default_inequality_range,
-)
+from graphenergy.verify import CheckContext, default_inequality_range, run_checks
 
 # every census any criterion touches; criterion 8 sweeps all of them
 ALL_CLASSES = sorted(PINNED)
@@ -65,7 +55,7 @@ def test_criterion_1_census_counts(monkeypatch):
         )
     with criterion(1, "pinned census counts and digests, two-strategy agreement"):
         enumerate_connected.cache_clear()  # count every walk the check makes
-        result = check_census_counts(CheckContext())
+        [result] = run_checks(["census"])
         assert result.passed, result.failures()
         assert [(row["n"], row["e"]) for row in result.evidence] == sorted(PINNED)
         agreed = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "derived-count"]
@@ -97,14 +87,14 @@ def test_criterion_2_reference_energies():
 
 def test_criterion_3_bicyclic_theorem():
     with criterion(3, "bicyclic minimal families, n = 4..9, under 60 s"):
-        result = check_theorem_bicyclic(CheckContext())
+        [result] = run_checks(["bicyclic"])
         assert result.passed, result.failures()
         assert result.runtime < 60, f"took {result.runtime:.1f}s"
 
 
 def test_criterion_4_tricyclic_theorem():
     with criterion(4, "tricyclic minimal families, n = 4..9, under 60 s"):
-        result = check_theorem_tricyclic(CheckContext())
+        [result] = run_checks(["tricyclic"])
         assert result.passed, result.failures()
         assert result.runtime < 60, f"took {result.runtime:.1f}s"
 
@@ -119,7 +109,7 @@ def test_criterion_5_tetracyclic_theorem(monkeypatch):
     # shared one, with criterion 1's walks, comes back for later tests
     monkeypatch.setattr(census, "_memo", {})
     with criterion(5, "tetracyclic minimal families, n = 5..9, under 10 min"):
-        result = check_theorem_tetracyclic(CheckContext())
+        [result] = run_checks(["tetracyclic"])
         assert result.passed, result.failures()
         assert result.runtime < 600, f"took {result.runtime:.1f}s"
     assert sorted(walks) == [5, 6, 7, 8, 9]
@@ -129,11 +119,10 @@ def test_criterion_6_closed_forms_exact():
     with criterion(6, "closed-form polynomials exact for n = 6..12"):
         for n in range(6, 13):
             for e_off in (0, 2, 3):
-                spec = FamilySpec("s", (n, n + e_off))
+                e = n + e_off
                 assert (
-                    char_poly(make_s_graph(n, n + e_off)).coeffs
-                    == closed_form_charpoly(spec).coeffs
-                ), spec.describe()
+                    char_poly(make_s_graph(n, e)).coeffs == closed_form_charpoly(n, e).coeffs
+                ), f"S({n},{e})"
             b4 = b_coeffs(char_poly(make_s_graph(n, n + 3))).values[4]
             assert b4 == 4 * n - 24
             assert b4 != 4 * n - 18
@@ -143,7 +132,7 @@ def test_criterion_7_inequality_suite():
     with criterion(7, "family inequality suite, n = 6..40 sampled"):
         ns = default_inequality_range()
         assert max(ns) == 40 and min(ns) == 6
-        result = check_family_inequalities(CheckContext())
+        [result] = run_checks(["family-inequalities"])
         assert result.passed, result.failures()
         assert len(result.evidence) > 150
 
@@ -183,7 +172,7 @@ def test_criterion_8_property_suites():
         print(f"  bipartite symmetry: {len(bipartite)} census members")
 
         # edge-cut monotonicity, 500 seeded trials, zero violations
-        result = check_edge_cut_lemma(CheckContext(seed=1729, trials=500))
+        [result] = run_checks(["edge-cut"], CheckContext(seed=1729, trials=500))
         assert result.passed, result.failures()
         print("  edge-cut monotonicity: 500 seeded trials, 0 violations")
 

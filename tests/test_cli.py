@@ -14,7 +14,6 @@ from graphenergy import Graph, char_poly, eigenvalues, family_graph, graph6_deco
 from graphenergy.census import PINNED, census_digest
 from graphenergy.cli import main
 import graphenergy.verify as verify_mod
-from graphenergy.verify import CheckResult
 
 
 def run(capsys, *argv):
@@ -326,7 +325,7 @@ class TestVerify:
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         def always_fails(ctx):
-            return CheckResult("doomed", False, [{"item": "x", "ok": False}], 0.0)
+            return [{"item": "x", "ok": True}, {"item": "y", "ok": False}]
 
         monkeypatch.setitem(verify_mod.CHECKS, "doomed", always_fails)
         code, out, _ = run(capsys, "verify", "--check", "doomed")

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from graphenergy import (
     FamilyParseError,
-    FamilySpec,
     Graph,
     InvalidFamilyError,
     NotAnEdgeError,
@@ -24,14 +25,14 @@ from graphenergy import (
     make_complete,
     make_complete_bipartite,
     make_cycle,
-    make_named,
     make_s_graph,
     make_star,
     make_wheel,
-    parse_family,
     poly_mul,
 )
+import graphenergy
 from graphenergy.classify import is_bipartite
+from graphenergy.graphs import FAMILIES
 
 
 def graph_strategy(min_n=2, max_n=9):
@@ -56,10 +57,9 @@ class TestGraphValue:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
-        # an odd degree sum, with and without a cached edge count
-        for e in (-1, 0, 1, 2):
-            with pytest.raises(ValueError, match="not symmetric"):
-                Graph(3, (0b110, 0b001, 0b000), e)
+        # an odd degree sum
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph(3, (0b110, 0b001, 0b000))
 
     @pytest.mark.parametrize("rows", [
         (0b110, 0b000, 0b000),  # above-diagonal bits without mirrors, even degree sum
@@ -67,9 +67,8 @@ class TestGraphValue:
         (0b010, 0b000, 0b001),  # one of each: the counts agree, the mirrors do not
     ])
     def test_rejects_asymmetry_in_either_direction(self, rows):
-        for e in (-1, sum(r.bit_count() for r in rows) // 2):
-            with pytest.raises(ValueError, match="not symmetric"):
-                Graph(len(rows), rows, e)
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph(len(rows), rows)
 
     def test_vertex_cap(self):
         with pytest.raises(SizeOverflowError):
@@ -179,13 +178,11 @@ class TestNamedFamilies:
             assert g.is_connected()
             assert sum(g.degrees()) == 2 * g.e
 
-    def test_make_named_validates(self):
-        with pytest.raises(InvalidFamilyError):
-            make_named(FamilySpec("cycle", (2,)))
-        with pytest.raises(InvalidFamilyError):
-            make_named(FamilySpec("wheel", (3,)))
-        with pytest.raises(InvalidFamilyError):
-            make_named(FamilySpec("complete", ()))
+    def test_family_graph_validates(self):
+        with pytest.raises(InvalidFamilyError, match=re.escape("C(2): requires k >= 3")):
+            family_graph("C 2")
+        with pytest.raises(InvalidFamilyError, match=re.escape("W(3): requires k >= 4")):
+            family_graph("W 3")
 
 
 class TestDisjointUnion:
@@ -251,44 +248,67 @@ class TestDeleteEdges:
             delete_edges(make_cycle(4), [(0, 2)])
 
 
+ACCEPTED = [
+
+    ("K4", 4, 6),
+    ("K 4", 4, 6),
+    ("S 7 7", 7, 7),
+    ("S7,7", 7, 7),
+    ("B 7 9", 7, 9),
+    ("C5", 5, 5),
+    ("W5", 5, 8),
+    ("Kb 3 3", 6, 9),
+    ("K3,3", 6, 9),
+    ("Star 5", 5, 4),
+    ("C3 + C3", 6, 6),
+    ("S 5 5 + C3", 8, 8),
+]
+
+
 class TestFamilyParsing:
-    @pytest.mark.parametrize(
-        "text,n,e",
-        [
-            ("K4", 4, 6),
-            ("K 4", 4, 6),
-            ("S 7 7", 7, 7),
-            ("S7,7", 7, 7),
-            ("B 7 9", 7, 9),
-            ("C5", 5, 5),
-            ("W5", 5, 8),
-            ("Kb 3 3", 6, 9),
-            ("K3,3", 6, 9),
-            ("Star 5", 5, 4),
-            ("C3 + C3", 6, 6),
-            ("S 5 5 + C3", 8, 8),
-        ],
-    )
+    @pytest.mark.parametrize("text,n,e", ACCEPTED)
     def test_accepted(self, text, n, e):
         g = family_graph(text)
         assert (g.n, g.e) == (n, e)
 
+    def test_accepted_cases_cover_every_family(self, monkeypatch):
+        used = set()
+        for key, make in list(FAMILIES.items()):
+            monkeypatch.setitem(
+                FAMILIES, key, lambda *p, key=key, make=make: used.add(key) or make(*p)
+            )
+        for text, _, _ in ACCEPTED:
+            family_graph(text)
+        assert used == set(FAMILIES)
+
     @pytest.mark.parametrize("text", ["", "Q 3", "K", "S 7", "C~", "5 5", "S 1 2 3"])
     def test_rejected(self, text):
         with pytest.raises(FamilyParseError):
-            parse_family(text)
+            family_graph(text)
 
-    def test_union_spec_describe(self):
-        spec = parse_family("S 5 5 + C3")
-        assert spec.kind == "union"
-        assert spec.describe() == "S(5,5) + C(3)"
+    def test_every_term_is_parsed_before_any_is_built(self):
+        # "W 3" alone is an InvalidFamilyError; the unparsable term wins
+        with pytest.raises(FamilyParseError, match="unknown family 'Q'"):
+            family_graph("W 3 + Q 3")
 
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidFamilyError):
-            FamilySpec("pentagram", (5,))
+    def test_union_builds_disjoint_union(self):
+        g = family_graph("S 5 5 + C3")
+        assert g == disjoint_union(make_s_graph(5, 5), make_cycle(3))
+
+    def test_oversized_family_fails_before_building_edges(self):
+        t0 = time.perf_counter()
+        with pytest.raises(SizeOverflowError, match="vertex count 3000000 outside 1..62"):
+            family_graph("Star 3000000")
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_wheel_energy_reference():
     # golden value sqrt(5)+... : spectrum of hub+C4 is {1+sqrt(5), 0, 0, -2, 1-sqrt(5)}
     expect = (1 + math.sqrt(5)) + 2 + (math.sqrt(5) - 1)
     assert energy(make_wheel(5)) == pytest.approx(expect, abs=1e-9)
+
+
+def test_public_names_resolve_once():
+    assert len(graphenergy.__all__) == len(set(graphenergy.__all__))
+    for name in graphenergy.__all__:
+        assert getattr(graphenergy, name) is not None, name

@@ -1,12 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 
 from graphenergy import (
     CharPoly,
-    FamilySpec,
     Graph,
     GraphEnergyError,
     InvalidFamilyError,
@@ -56,14 +56,12 @@ class TestCharPoly:
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_unicyclic_star_family_closed_form(self, n):
-        assert char_poly(make_s_graph(n, n)).coeffs == closed_form_charpoly(
-            FamilySpec("s", (n, n))
-        ).coeffs
+        assert char_poly(make_s_graph(n, n)).coeffs == closed_form_charpoly(n, n).coeffs
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_tricyclic_star_family_closed_form(self, n):
         assert char_poly(make_s_graph(n, n + 2)).coeffs == closed_form_charpoly(
-            FamilySpec("s", (n, n + 2))
+            n, n + 2
         ).coeffs
 
     @given(graph_strategy(min_n=2, max_n=8))
@@ -338,23 +336,21 @@ class TestCoulson:
 
 class TestClosedForms:
     def test_values_at_n_6_and_10(self):
-        assert closed_form_charpoly(FamilySpec("s", (6, 6))).coeffs == (
+        assert closed_form_charpoly(6, 6).coeffs == (
             1, 0, -6, -2, 3, 0, 0,
         )
-        assert closed_form_charpoly(FamilySpec("s", (6, 8))).coeffs == (
+        assert closed_form_charpoly(6, 8).coeffs == (
             1, 0, -8, -6, 3, 0, 0,
         )
-        assert closed_form_charpoly(FamilySpec("s", (10, 13))).coeffs == (
+        assert closed_form_charpoly(10, 13).coeffs == (
             1, 0, -13, -8, 16, 0, 0, 0, 0, 0, 0,
         )
 
     def test_unsupported_families(self):
-        with pytest.raises(InvalidFamilyError):
-            closed_form_charpoly(FamilySpec("s", (5, 5)))  # n too small
-        with pytest.raises(InvalidFamilyError):
-            closed_form_charpoly(FamilySpec("s", (8, 9)))  # e = n+1 not covered
-        with pytest.raises(InvalidFamilyError):
-            closed_form_charpoly(FamilySpec("cycle", (6,)))
+        with pytest.raises(InvalidFamilyError, match=re.escape("S(5,5) requires n >= 6")):
+            closed_form_charpoly(5, 5)  # n too small
+        with pytest.raises(InvalidFamilyError, match=re.escape("no closed form for S(8,9)")):
+            closed_form_charpoly(8, 9)  # e = n+1 not covered
 
 
 def test_reference_energy_table():

@@ -21,14 +21,6 @@ from graphenergy.verify import (
     ENERGY_TIE_TOL,
     CheckContext,
     CheckResult,
-    check_census_counts,
-    check_class_split,
-    check_closed_forms,
-    check_dual_energy,
-    check_edge_cut_lemma,
-    check_theorem_bicyclic,
-    check_theorem_tetracyclic,
-    check_theorem_tricyclic,
     DUAL_ENERGY_CLASSES,
     _digest_poly,
     render_json,
@@ -102,32 +94,27 @@ class TestRankClass:
     def test_claimed_ranks_have_decisive_margins(self):
         # every family claim sits at least 1e-3 above its successor, so the
         # verdicts cannot hinge on solver noise
-        for check in (
-            check_theorem_bicyclic,
-            check_theorem_tricyclic,
-            check_theorem_tetracyclic,
-        ):
-            for row in check(CheckContext()).evidence:
+        for result in run_checks(["bicyclic", "tricyclic", "tetracyclic"]):
+            for row in result.evidence:
                 gap = row.get("gap_to_next")
                 assert gap is None or gap > 1e-3
 
 
 class TestChecks:
     def test_closed_forms_pass(self):
-        result = check_closed_forms(CheckContext())
+        [result] = run_checks(["closed-forms"])
         assert result.passed
         assert any(row["item"] == "b4-correction" for row in result.evidence)
 
     def test_edge_cut_lemma_small_run(self):
-        result = check_edge_cut_lemma(CheckContext(seed=7, trials=60))
+        [result] = run_checks(["edge-cut"], CheckContext(seed=7, trials=60))
         assert result.passed
         summary = result.evidence[-1]
         assert summary["trials"] == 60
         assert summary["violations"] == 0
 
     def test_edge_cut_lemma_deterministic_in_seed(self):
-        a = check_edge_cut_lemma(CheckContext(seed=3, trials=40))
-        b = check_edge_cut_lemma(CheckContext(seed=3, trials=40))
+        [a, b] = run_checks(["edge-cut", "edge-cut"], CheckContext(seed=3, trials=40))
         assert [r for r in a.evidence] == [r for r in b.evidence]
 
     def test_deleting_every_edge_never_raises_energy(self):
@@ -137,11 +124,11 @@ class TestChecks:
         assert energy(g) >= 0.0
 
     def test_class_split_frozen_counts(self):
-        result = check_class_split(CheckContext())
+        [result] = run_checks(["class-split"])
         assert result.passed
 
     def test_dual_energy_small(self):
-        result = check_dual_energy(CheckContext())
+        [result] = run_checks(["dual-energy"])
         assert result.passed
         classes = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "dual-energy-class"]
         assert classes == list(DUAL_ENERGY_CLASSES)
@@ -150,7 +137,7 @@ class TestChecks:
         count, digest = PINNED[(5, 6)]
         pins = {(4, 4): PINNED[(4, 4)], (5, 6): (count, digest[::-1])}
         monkeypatch.setattr(verify_mod, "PINNED", pins)
-        result = check_census_counts(CheckContext())
+        [result] = run_checks(["census"])
         assert not result.passed
         # both classes are filled by the check's vertex walk: derived-count rows
         assert [(r["n"], r["e"], r["edge_strategy"], r["identical_censuses"],
