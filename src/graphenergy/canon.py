@@ -36,17 +36,8 @@ with this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph6 import encode_rows
 from .graphs import Graph, bit_indices, dsu_find, relabel_rows
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical graph6 string of a graph."""
-
-    graph6: str
 
 
 def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> tuple[list[int], list[int] | None]:
@@ -186,9 +177,9 @@ def canonicalize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return Graph(g.n, cert), perm
 
 
-def canonical_label(g: Graph) -> CanonicalForm:
+def canonical_label(g: Graph) -> str:
     """Canonical graph6 string; isomorphic graphs map to equal strings."""
-    return CanonicalForm(canonical_g6(g.n, g.adj))
+    return canonical_g6(g.n, g.adj)
 
 
 def aut_order(g: Graph) -> int:

@@ -23,15 +23,7 @@ from .errors import (
 from .graph6 import graph6_decode
 from .graphs import Graph, family_graph
 from .spectral import CoulsonEnergy, Spectrum, b_coeffs, energy_coulsons, spectra
-from .verify import (
-    CHECKS,
-    ENERGY_TIE_TOL,
-    CheckContext,
-    rank_class,
-    render_json,
-    render_text,
-    run_checks,
-)
+from .verify import CHECKS, ENERGY_TIE_TOL, CheckContext, CheckResult, rank_class, run_checks
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -117,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _graph_report(label: str, g: Graph, spec: Spectrum, coulson: CoulsonEnergy) -> dict:
-    p = spec.charpoly
     bip = is_bipartite(g)
     row = {
         "input": label,
@@ -127,8 +118,8 @@ def _graph_report(label: str, g: Graph, spec: Spectrum, coulson: CoulsonEnergy) 
         "energy_coulson": coulson.value,
         "coulson_error_bound": coulson.error_bound,
         "eigenvalues": list(spec.eigenvalues),
-        "charpoly": list(p.coeffs),
-        "b_coeffs": list(b_coeffs(p).values),
+        "charpoly": list(spec.charpoly),
+        "b_coeffs": list(b_coeffs(spec.charpoly)),
         "bipartite": bool(bip),
         "class_label": None,
         "class_witness": None,
@@ -308,6 +299,37 @@ def _cmd_rank(args) -> int:
         if report.ties:
             print(f"ties within {ENERGY_TIE_TOL:g}: {[t[:2] for t in report.ties]}")
     return _EXIT_OK
+
+
+def render_text(results: list[CheckResult]) -> str:
+    lines = []
+    for r in results:
+        lines.append(f"=== {r.name}: {'PASS' if r.passed else 'FAIL'} "
+                     f"({len(r.evidence)} evidence rows, {r.runtime:.2f}s)")
+        rows = r.evidence if not r.passed else r.evidence[:12]
+        for row in rows:
+            mark = "ok " if row["ok"] else "FAIL"
+            detail = ", ".join(f"{k}={v}" for k, v in row.items() if k != "ok")
+            lines.append(f"  [{mark}] {detail}")
+        if r.passed and len(r.evidence) > 12:
+            lines.append(f"  ... {len(r.evidence) - 12} more rows (all ok)")
+    lines.append(
+        f"result: {sum(r.passed for r in results)}/{len(results)} checks passed"
+    )
+    return "\n".join(lines)
+
+
+def render_json(results: list[CheckResult]) -> str:
+    payload = [
+        {
+            "name": r.name,
+            "passed": r.passed,
+            "runtime_seconds": round(r.runtime, 3),
+            "evidence": r.evidence,
+        }
+        for r in results
+    ]
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _cmd_verify(args) -> int:

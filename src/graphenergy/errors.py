@@ -17,10 +17,6 @@ class NotAnEdgeError(GraphEnergyError, ValueError):
     """An edge operation referenced a vertex pair that is not an edge."""
 
 
-class SizeOverflowError(GraphEnergyError, ValueError):
-    """A construction would exceed the 62-vertex representation limit."""
-
-
 class Graph6ParseError(GraphEnergyError, ValueError):
     """Malformed graph6 input.
 
@@ -33,7 +29,11 @@ class Graph6ParseError(GraphEnergyError, ValueError):
 
 
 class ScaleError(GraphEnergyError, ValueError):
-    """A request fell outside the supported desk-scale envelope."""
+    """A request fell outside the supported desk-scale envelope.
+
+    Raised, among others, for a graph or graph6 string above the 62-vertex
+    limit of the adjacency bitsets.
+    """
 
 
 class CacheMissError(GraphEnergyError, LookupError):

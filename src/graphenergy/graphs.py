@@ -13,12 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    FamilyParseError,
-    InvalidFamilyError,
-    NotAnEdgeError,
-    SizeOverflowError,
-)
+from .errors import FamilyParseError, InvalidFamilyError, NotAnEdgeError, ScaleError
 
 MAX_VERTICES = 62
 
@@ -59,7 +54,7 @@ def dsu_find(parent: list[int], x: int) -> int:
 
 def _check_order(n: int) -> None:
     if not 1 <= n <= MAX_VERTICES:
-        raise SizeOverflowError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        raise ScaleError(f"vertex count {n} outside 1..{MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +249,7 @@ def make_wheel(k: int) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     if g.n + h.n > MAX_VERTICES:
-        raise SizeOverflowError(
+        raise ScaleError(
             f"disjoint union needs {g.n + h.n} vertices; limit is {MAX_VERTICES}"
         )
     rows = list(g.adj) + [row << g.n for row in h.adj]
@@ -310,5 +305,10 @@ def family_graph(text: str) -> Graph:
             raise FamilyParseError(
                 f"unknown family {name!r} with {len(nums)} parameter(s)"
             )
-        terms.append((make, [int(x) for x in nums]))
+        try:
+            terms.append((make, [int(x) for x in nums]))
+        except ValueError:  # past Python's int-string digit limit
+            raise FamilyParseError(
+                f"family {name!r} has a parameter of {max(map(len, nums))} digits"
+            ) from None
     return functools.reduce(disjoint_union, (make(*nums) for make, nums in terms))

@@ -41,31 +41,13 @@ from .graphs import Graph
 
 
 @dataclass(frozen=True)
-class CharPoly:
-    """Exact integer coefficients a_0..a_n of det(xI - A), highest power first."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class BCoeffs:
-    """Sign-adjusted coefficients b_k = (-1)^(k//2) * a_k."""
-
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Adjacency eigenvalues sorted descending, their energy and the polynomial that gated them."""
 
     eigenvalues: tuple[float, ...]
     energy: float
     residual: float
-    charpoly: CharPoly
+    charpoly: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -107,7 +89,7 @@ def _adjacency_stack(graphs: list[Graph]) -> np.ndarray:
     return (rows[:, :, None] >> np.arange(rows.shape[1])) & 1
 
 
-def _char_poly_exact(g: Graph) -> CharPoly:
+def _char_poly_exact(g: Graph) -> tuple[int, ...]:
     """The recurrence over Python integers; exact at any order."""
     n = g.n
     nbrs = [g.neighbors(v) for v in range(n)]
@@ -133,10 +115,10 @@ def _char_poly_exact(g: Graph) -> CharPoly:
         coeffs.append(-(tr // k))
     if n >= 2 and coeffs[2] != -g.e:
         raise GraphEnergyError("characteristic polynomial failed the edge-count identity")
-    return CharPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def _stacked_char_polys(graphs: list[Graph]) -> list[CharPoly]:
+def _stacked_char_polys(graphs: list[Graph]) -> list[tuple[int, ...]]:
     """Exact characteristic polynomials of one chunk of graphs of one order.
 
     Takes the int64 route only under the overflow bound of the module
@@ -162,31 +144,32 @@ def _stacked_char_polys(graphs: list[Graph]) -> list[CharPoly]:
         raise GraphEnergyError("characteristic polynomial recurrence lost exactness")
     if n >= 2 and (coeffs[:, 2] != [-g.e for g in graphs]).any():
         raise GraphEnergyError("characteristic polynomial failed the edge-count identity")
-    return [CharPoly(tuple(c)) for c in coeffs.tolist()]
+    return [tuple(c) for c in coeffs.tolist()]
 
 
-def char_polys(graphs: Sequence[Graph]) -> list[CharPoly]:
+def char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     """Exact characteristic polynomials of graphs of any orders, in input order."""
     return _batched(_stacked_char_polys, graphs, _order)
 
 
-def char_poly(g: Graph) -> CharPoly:
-    """Exact characteristic polynomial of the adjacency matrix."""
+def char_poly(g: Graph) -> tuple[int, ...]:
+    """Exact det(xI - A): the Python ints a_0..a_n, highest power first."""
     return char_polys([g])[0]
 
 
-def b_coeffs(p: CharPoly) -> BCoeffs:
-    return BCoeffs(tuple((-1) ** (k // 2) * a for k, a in enumerate(p.coeffs)))
+def b_coeffs(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Sign-adjusted coefficients b_k = (-1)^(k//2) * a_k."""
+    return tuple((-1) ** (k // 2) * a for k, a in enumerate(p))
 
 
-def poly_mul(p: CharPoly, q: CharPoly) -> CharPoly:
+def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Exact product; the characteristic polynomial of a disjoint union."""
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q.coeffs):
+            for j, b in enumerate(q):
                 out[i + j] += a * b
-    return CharPoly(tuple(out))
+    return tuple(out)
 
 
 def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
@@ -205,7 +188,7 @@ def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
         raise GraphEnergyError("eigenvalue sum violates trace-zero bound")
     if (np.abs((w * w).sum(axis=1) - 2 * e) > 1e-8 * np.maximum(e, 1)).any():
         raise GraphEnergyError("eigenvalue square-sum violates the degree-sum identity")
-    c = np.array([p.coeffs for p in polys], dtype=np.float64)[:, :, None]
+    c = np.array(polys, dtype=np.float64)[:, :, None]
     powers = w[:, :, None] ** np.arange(n, -1, -1)  # lambda^(n-k), k = 0..n
     residual = np.abs(powers @ c).max(axis=(1, 2))
     condition = (np.abs(powers) @ np.abs(c)).max(axis=(1, 2))
@@ -231,7 +214,7 @@ def energy(g: Graph) -> float:
     return eigenvalues(g).energy
 
 
-def closed_form_charpoly(n: int, e: int) -> CharPoly:
+def closed_form_charpoly(n: int, e: int) -> tuple[int, ...]:
     """Reference closed forms for S(n,n), S(n,n+2), S(n,n+3); oracle for char_poly.
 
     Only x^n, x^(n-2), x^(n-3), x^(n-4) carry non-zero coefficients, so n >= 6
@@ -247,8 +230,7 @@ def closed_form_charpoly(n: int, e: int) -> CharPoly:
     if e - n not in table:
         raise InvalidFamilyError(f"no closed form for S({n},{e})")
     x2, x3, x4 = table[e - n]
-    coeffs = [1, 0, -x2, -x3, x4] + [0] * (n - 4)
-    return CharPoly(tuple(coeffs))
+    return (1, 0, -x2, -x3, x4) + (0,) * (n - 4)
 
 
 # --- Coulson integral -------------------------------------------------------
@@ -300,14 +282,14 @@ for _i, _w in _GAUSS_W.items():
     _WG[14 - _i] = _w
 
 
-def _abs2_coeffs(p: CharPoly) -> tuple[int, list[int]]:
+def _abs2_coeffs(p: tuple[int, ...]) -> tuple[int, list[int]]:
     """``(n, d)``: d_k, the integer coefficients of P^2 + Q^2 in y = x^2 up to its degree.
 
-    All d_k are non-negative and d_0 = 1.
+    P and Q take the even and odd b_k. All d_k are non-negative and d_0 = 1.
     """
-    n = p.degree
-    even = [(-1) ** i * p.coeffs[2 * i] for i in range(n // 2 + 1)]
-    odd = [(-1) ** i * p.coeffs[2 * i + 1] for i in range((n + 1) // 2)]
+    n = len(p) - 1
+    signed = b_coeffs(p)
+    even, odd = signed[0::2], signed[1::2]
     d = [0] * (n + 1)
     for i, a in enumerate(even):
         for j, b in enumerate(even):
@@ -415,7 +397,7 @@ def _stacked_coulson(
 
 
 def energy_coulsons(
-    polys: Sequence[CharPoly], *, tol: float = 1e-7, max_evals: int = 1_000_000
+    polys: Sequence[tuple[int, ...]], *, tol: float = 1e-7, max_evals: int = 1_000_000
 ) -> list[CoulsonEnergy]:
     """Graph energies from the contour-integral formula, with error bounds, in input order.
 
@@ -446,7 +428,7 @@ def energy_coulsons(
 
 
 def energy_coulson(
-    p: CharPoly, *, tol: float = 1e-7, max_evals: int = 1_000_000
+    p: tuple[int, ...], *, tol: float = 1e-7, max_evals: int = 1_000_000
 ) -> CoulsonEnergy:
     """Graph energy from the contour-integral formula, with an error bound; a batch of one."""
     return energy_coulsons([p], tol=tol, max_evals=max_evals)[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import random
 import time
@@ -92,7 +91,7 @@ class CheckResult:
     runtime: float = 0.0
 
     def failures(self) -> list[dict]:
-        return [row for row in self.evidence if not row.get("ok", True)]
+        return [row for row in self.evidence if not row["ok"]]
 
 
 def _digest_poly(coeffs) -> str:
@@ -112,7 +111,7 @@ def rank_class(n: int, e: int, cache_dir=None) -> RankReport:
         if b.energy - a.energy <= ENERGY_TIE_TOL
     )
     entries = tuple(
-        RankedGraph(s, spec.energy, _digest_poly(spec.charpoly.coeffs)) for spec, s in rows
+        RankedGraph(s, spec.energy, _digest_poly(spec.charpoly)) for spec, s in rows
     )
     return RankReport(n, e, entries, ties)
 
@@ -308,8 +307,8 @@ def check_closed_forms(ctx: CheckContext) -> list[dict]:
     for n in range(6, 13):
         for e_off in (0, 2, 3):
             e = n + e_off
-            got = char_poly(make_s_graph(n, e)).coeffs
-            want = closed_form_charpoly(n, e).coeffs
+            got = char_poly(make_s_graph(n, e))
+            want = closed_form_charpoly(n, e)
             ev.append(
                 {
                     "item": "closed-form",
@@ -319,7 +318,7 @@ def check_closed_forms(ctx: CheckContext) -> list[dict]:
                     "ok": got == want,
                 }
             )
-        b4 = b_coeffs(char_poly(make_s_graph(n, n + 3))).values[4]
+        b4 = b_coeffs(char_poly(make_s_graph(n, n + 3)))[4]
         ev.append(
             {
                 "item": "b4-correction",
@@ -552,34 +551,3 @@ def run_checks(names=None, ctx: CheckContext = CheckContext()) -> list[CheckResu
             CheckResult(name, all(row["ok"] for row in rows), rows, time.perf_counter() - t0)
         )
     return results
-
-
-def render_text(results: list[CheckResult]) -> str:
-    lines = []
-    for r in results:
-        lines.append(f"=== {r.name}: {'PASS' if r.passed else 'FAIL'} "
-                     f"({len(r.evidence)} evidence rows, {r.runtime:.2f}s)")
-        rows = r.evidence if not r.passed else r.evidence[:12]
-        for row in rows:
-            mark = "ok " if row.get("ok", True) else "FAIL"
-            detail = ", ".join(f"{k}={v}" for k, v in row.items() if k != "ok")
-            lines.append(f"  [{mark}] {detail}")
-        if r.passed and len(r.evidence) > 12:
-            lines.append(f"  ... {len(r.evidence) - 12} more rows (all ok)")
-    lines.append(
-        f"result: {sum(r.passed for r in results)}/{len(results)} checks passed"
-    )
-    return "\n".join(lines)
-
-
-def render_json(results: list[CheckResult]) -> str:
-    payload = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "runtime_seconds": round(r.runtime, 3),
-            "evidence": r.evidence,
-        }
-        for r in results
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -121,9 +121,9 @@ def test_criterion_6_closed_forms_exact():
             for e_off in (0, 2, 3):
                 e = n + e_off
                 assert (
-                    char_poly(make_s_graph(n, e)).coeffs == closed_form_charpoly(n, e).coeffs
+                    char_poly(make_s_graph(n, e)) == closed_form_charpoly(n, e)
                 ), f"S({n},{e})"
-            b4 = b_coeffs(char_poly(make_s_graph(n, n + 3))).values[4]
+            b4 = b_coeffs(char_poly(make_s_graph(n, n + 3)))[4]
             assert b4 == 4 * n - 24
             assert b4 != 4 * n - 18
 
@@ -157,7 +157,7 @@ def test_criterion_8_property_suites():
             g = _random_graph(rng, rng.randint(2, 7))
             h = _random_graph(rng, rng.randint(2, 7))
             u = disjoint_union(g, h)
-            assert char_poly(u).coeffs == poly_mul(char_poly(g), char_poly(h)).coeffs
+            assert char_poly(u) == poly_mul(char_poly(g), char_poly(h))
         print("  union multiplicativity: 200 seeded pairs exact")
 
         # bipartite spectral symmetry on all bipartite census members
@@ -167,7 +167,7 @@ def test_criterion_8_property_suites():
                 assert abs(
                     spec.eigenvalues[i] + spec.eigenvalues[g.n - 1 - i]
                 ) <= 1e-9
-            a = spec.charpoly.coeffs
+            a = spec.charpoly
             assert all(a[k] == 0 for k in range(1, g.n + 1, 2))
         print(f"  bipartite symmetry: {len(bipartite)} census members")
 
@@ -184,8 +184,8 @@ def test_criterion_8_property_suites():
             perm = list(range(n))
             rng.shuffle(perm)
             assert (
-                canonical_label(g).graph6
-                == canonical_label(g.relabeled(perm)).graph6
+                canonical_label(g)
+                == canonical_label(g.relabeled(perm))
             )
         print("  canonical invariance: 1000 seeded trials")
 

@@ -92,7 +92,7 @@ class TestEnergy:
             assert (row["n"], row["e"]) == (g.n, g.e)
             assert row["eigenvalues"] == list(spec.eigenvalues)
             assert row["energy"] == spec.energy
-            assert row["charpoly"] == list(char_poly(g).coeffs)
+            assert row["charpoly"] == list(char_poly(g))
 
     def test_parse_error_carries_line_number(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("K4\n!!bogus!!\n"))
@@ -132,6 +132,16 @@ class TestEnergy:
         code, _, err = run(capsys, "energy", "--family", "S 5 9")
         assert code == 2
         assert "requires" in err
+
+    def test_parameter_past_the_int_digit_limit_is_usage(self, capsys, monkeypatch):
+        # int() refuses more than 4,300 digits; both input forms must exit 2
+        code, out, err = run(capsys, "energy", "--family", "Star " + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert "has a parameter of 5000 digits" in err
+        monkeypatch.setattr("sys.stdin", io.StringIO("S 5 " + "0" * 4400 + "7\n"))
+        code, out, err = run(capsys, "energy", "-")
+        assert (code, out) == (2, "")
+        assert "line 1: not a family expression (family 'S' has a parameter of 4401 digits)" in err
 
     def test_large_graph_skips_class_label(self, capsys):
         code, out, _ = run(
@@ -268,21 +278,15 @@ class TestRank:
         code, out, _ = run(capsys, "--format", "json", "rank", "7", "8", "--top", "2")
         assert code == 0
         payload = json.loads(out)
-        assert payload["rows"][1]["graph6"] == canonical_label(
-            family_graph("S 7 8")
-        ).graph6
+        assert payload["rows"][1]["graph6"] == canonical_label(family_graph("S 7 8"))
 
     def test_5_6_minimal_and_second(self, capsys):
         from graphenergy import canonical_label, family_graph
 
         code, out, _ = run(capsys, "--format", "json", "rank", "5", "6", "--top", "2")
         payload = json.loads(out)
-        assert payload["rows"][0]["graph6"] == canonical_label(
-            family_graph("B 5 6")
-        ).graph6
-        assert payload["rows"][1]["graph6"] == canonical_label(
-            family_graph("S 5 6")
-        ).graph6
+        assert payload["rows"][0]["graph6"] == canonical_label(family_graph("B 5 6"))
+        assert payload["rows"][1]["graph6"] == canonical_label(family_graph("S 5 6"))
 
     def test_top_zero_empty_table(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "rank", "5", "6", "--top", "0")

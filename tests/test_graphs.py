@@ -12,7 +12,7 @@ from graphenergy import (
     Graph,
     InvalidFamilyError,
     NotAnEdgeError,
-    SizeOverflowError,
+    ScaleError,
     canonical_label,
     char_poly,
     count_triangles,
@@ -21,6 +21,7 @@ from graphenergy import (
     energy,
     eigenvalues,
     family_graph,
+    graph6_decode,
     make_b_graph,
     make_complete,
     make_complete_bipartite,
@@ -71,7 +72,7 @@ class TestGraphValue:
             Graph(len(rows), rows)
 
     def test_vertex_cap(self):
-        with pytest.raises(SizeOverflowError):
+        with pytest.raises(ScaleError):
             Graph(63, tuple([0] * 63))
 
     def test_immutable(self):
@@ -101,7 +102,7 @@ class TestSGraph:
         assert energy(make_s_graph(4, 4)) == pytest.approx(4.96239, abs=1e-5)
 
     def test_s_8_11_charpoly(self):
-        got = char_poly(make_s_graph(8, 11)).coeffs
+        got = char_poly(make_s_graph(8, 11))
         assert got == (1, 0, -11, -8, 8, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("n", range(3, 12))
@@ -194,7 +195,7 @@ class TestDisjointUnion:
     def test_charpoly_multiplies(self):
         g, h = make_s_graph(5, 5), make_cycle(3)
         u = disjoint_union(g, h)
-        assert char_poly(u).coeffs == poly_mul(char_poly(g), char_poly(h)).coeffs
+        assert char_poly(u) == poly_mul(char_poly(g), char_poly(h))
 
     def test_energy_additive_seeded(self):
         # eigenvalue multiset of a union is the union of multisets
@@ -212,10 +213,10 @@ class TestDisjointUnion:
         a, b, c = make_cycle(3), make_star(4), make_complete(4)
         left = disjoint_union(disjoint_union(a, b), c)
         right = disjoint_union(a, disjoint_union(b, c))
-        assert canonical_label(left).graph6 == canonical_label(right).graph6
+        assert canonical_label(left) == canonical_label(right)
 
     def test_overflow(self):
-        with pytest.raises(SizeOverflowError):
+        with pytest.raises(ScaleError):
             disjoint_union(make_star(40), make_star(40))
 
 
@@ -297,7 +298,7 @@ class TestFamilyParsing:
 
     def test_oversized_family_fails_before_building_edges(self):
         t0 = time.perf_counter()
-        with pytest.raises(SizeOverflowError, match="vertex count 3000000 outside 1..62"):
+        with pytest.raises(ScaleError, match="vertex count 3000000 outside 1..62"):
             family_graph("Star 3000000")
         assert time.perf_counter() - t0 < 1.0
 
@@ -312,3 +313,22 @@ def test_public_names_resolve_once():
     assert len(graphenergy.__all__) == len(set(graphenergy.__all__))
     for name in graphenergy.__all__:
         assert getattr(graphenergy, name) is not None, name
+    # polynomials are tuples, labels strings, and every order error a ScaleError
+    for gone in ("CharPoly", "BCoeffs", "CanonicalForm", "SizeOverflowError"):
+        assert gone not in graphenergy.__all__
+        assert not hasattr(graphenergy, gone)
+
+
+def test_every_order_above_62_raises_scale_error(capsys):
+    from graphenergy.cli import main
+
+    with pytest.raises(ScaleError, match="multi-byte graph6 sizes exceed the 62-vertex limit"):
+        graph6_decode("~??~" + "?" * ((63 * 62 // 2 + 5) // 6))  # a 63-vertex string
+    with pytest.raises(ScaleError, match=re.escape("vertex count 63 outside 1..62")):
+        Graph.from_edges(63, [])
+    with pytest.raises(ScaleError, match="disjoint union needs 80 vertices; limit is 62"):
+        disjoint_union(make_star(40), make_star(40))
+    with pytest.raises(ScaleError, match=re.escape("vertex count 63 outside 1..62")):
+        family_graph("Star 63")
+    assert main(["energy", "--family", "Star 63"]) == 2
+    assert "vertex count 63 outside 1..62" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from graphenergy import (
-    CharPoly,
     Graph,
     GraphEnergyError,
     InvalidFamilyError,
@@ -48,26 +47,26 @@ def _poly_from_roots(roots):
 class TestCharPoly:
     def test_k4_from_spectrum_oracle(self):
         # complete-graph spectrum: n-1 once, -1 with multiplicity n-1
-        assert char_poly(make_complete(4)).coeffs == _poly_from_roots([3, -1, -1, -1])
+        assert char_poly(make_complete(4)) == _poly_from_roots([3, -1, -1, -1])
 
     def test_edgeless(self):
         g = Graph(6, (0,) * 6)
-        assert char_poly(g).coeffs == (1, 0, 0, 0, 0, 0, 0)
+        assert char_poly(g) == (1, 0, 0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_unicyclic_star_family_closed_form(self, n):
-        assert char_poly(make_s_graph(n, n)).coeffs == closed_form_charpoly(n, n).coeffs
+        assert char_poly(make_s_graph(n, n)) == closed_form_charpoly(n, n)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_tricyclic_star_family_closed_form(self, n):
-        assert char_poly(make_s_graph(n, n + 2)).coeffs == closed_form_charpoly(
+        assert char_poly(make_s_graph(n, n + 2)) == closed_form_charpoly(
             n, n + 2
-        ).coeffs
+        )
 
     @given(graph_strategy(min_n=2, max_n=8))
     @settings(max_examples=80, deadline=None)
     def test_low_coefficient_identities(self, g):
-        a = char_poly(g).coeffs
+        a = char_poly(g)
         assert a[0] == 1
         assert a[1] == 0
         assert a[2] == -g.e
@@ -80,7 +79,7 @@ class TestCharPoly:
             g = _rand(rng, rng.randint(2, 6))
             h = _rand(rng, rng.randint(2, 6))
             u = disjoint_union(g, h)
-            assert char_poly(u).coeffs == poly_mul(char_poly(g), char_poly(h)).coeffs
+            assert char_poly(u) == poly_mul(char_poly(g), char_poly(h))
 
 
 # every census class the checks rank or count, n <= 8, plus the largest one
@@ -122,21 +121,21 @@ class TestBatchedCharPoly:
         monkeypatch.setattr(spectral_mod, "_char_poly_exact", _no_fallback)
         got = char_polys(graphs)
         assert got == want
-        assert all(type(c) is int for p in got for c in p.coeffs)
+        assert all(type(c) is int for p in got for c in p)
 
     def test_guard_boundary_on_complete_graphs(self, fallback_calls):
         # K12: 12 * 2^12 * 11^12 < 2^62 stays on int64; K13 is past the bound
         for n in (12, 13, 20):
             want = _poly_from_roots([n - 1] + [-1] * (n - 1))
-            assert char_poly(make_complete(n)).coeffs == want
+            assert char_poly(make_complete(n)) == want
         assert fallback_calls == [13, 20]
 
     def test_sparse_large_graphs_fall_back_and_match_sympy(self, fallback_calls):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(40)
         g40, g62 = _sparse_connected(rng, 40, 6), _sparse_connected(rng, 62, 4)
-        got = char_poly(g40).coeffs
-        assert char_poly(g62).coeffs[2] == -g62.e
+        got = char_poly(g40)
+        assert char_poly(g62)[2] == -g62.e
         assert fallback_calls == [40, 62]
         x = sympy.Symbol("x")
         want = sympy.Matrix(g40.adjacency_matrix().astype(int)).charpoly(x).all_coeffs()
@@ -158,6 +157,18 @@ class TestBatchedCharPoly:
         assert [s.charpoly for s in got_spectra] == got_polys
         assert char_polys([]) == [] and spectra([]) == []
 
+    def test_polynomials_are_tuples_of_python_ints_on_both_routes(self, fallback_calls):
+        # a member of (9,12) takes the int64 stack, a 40-vertex graph the Python ints
+        g9 = graph6_decode(enumerate_connected(9, 12).graphs[0])
+        g40 = _sparse_connected(random.Random(3), 40, 5)
+        for g in (g9, g40):
+            for p in (char_poly(g), char_polys([g])[0], spectra([g])[0].charpoly,
+                      b_coeffs(char_poly(g)), poly_mul(char_poly(g), char_poly(g))):
+                assert type(p) is tuple and all(type(c) is int for c in p)
+        assert set(fallback_calls) == {40}  # (9,12) stayed on int64
+        p = closed_form_charpoly(9, 12)
+        assert type(p) is tuple and all(type(c) is int for c in p)
+
 
 def _rand(rng, n, p=0.5):
     return Graph.from_edges(
@@ -169,22 +180,22 @@ class TestBCoeffs:
     def test_b2_equals_edge_count_on_census(self):
         for s in enumerate_connected(6, 8).graphs:
             g = graph6_decode(s)
-            assert b_coeffs(char_poly(g)).values[2] == g.e
+            assert b_coeffs(char_poly(g))[2] == g.e
 
     def test_b3_of_k4(self):
-        assert b_coeffs(char_poly(make_complete(4))).values[3] == 8
+        assert b_coeffs(char_poly(make_complete(4)))[3] == 8
 
     @pytest.mark.parametrize("n", range(7, 13))
     def test_b4_of_tetracyclic_star_family(self, n):
-        vals = b_coeffs(char_poly(make_s_graph(n, n + 3))).values
+        vals = b_coeffs(char_poly(make_s_graph(n, n + 3)))
         assert vals[4] == 4 * n - 24
         assert vals[4] != 4 * n - 18
 
     def test_b0_is_one_and_length_matches(self):
         p = char_poly(make_cycle(6))
         b = b_coeffs(p)
-        assert b.values[0] == 1
-        assert len(b.values) == len(p.coeffs)
+        assert b[0] == 1
+        assert len(b) == len(p)
 
 
 class TestSpectrum:
@@ -210,14 +221,14 @@ class TestSpectrum:
         assert list(s.eigenvalues) == sorted(s.eigenvalues, reverse=True)
         assert abs(sum(s.eigenvalues)) <= 1e-9 * g.n
         assert abs(sum(x * x for x in s.eigenvalues) - 2 * g.e) <= 1e-8 * max(g.e, 1)
-        scale = max(abs(c) for c in char_poly(g).coeffs)
+        scale = max(abs(c) for c in char_poly(g))
         assert s.residual <= 1e-6 * scale
 
     def test_wrong_polynomial_is_rejected(self, monkeypatch):
         g = make_cycle(6)
         good = char_poly(g)
         assert eigenvalues(g).charpoly == good
-        off_by_one = CharPoly(good.coeffs[:-1] + (good.coeffs[-1] + 1,))
+        off_by_one = good[:-1] + (good[-1] + 1,)
         for wrong in (char_poly(make_s_graph(6, 6)), off_by_one):
             monkeypatch.setattr(
                 spectral_mod, "_stacked_char_polys", lambda graphs: [wrong] * len(graphs)
@@ -238,9 +249,9 @@ class TestSpectrum:
                 assert s.eigenvalues[i] == pytest.approx(
                     -s.eigenvalues[g.n - 1 - i], abs=1e-9
                 )
-            a = char_poly(g).coeffs
+            a = char_poly(g)
             assert all(a[k] == 0 for k in range(1, g.n + 1, 2))
-            assert all(v >= 0 for v in b_coeffs(char_poly(g)).values)
+            assert all(v >= 0 for v in b_coeffs(char_poly(g)))
 
 
 class TestCoulson:
@@ -284,7 +295,7 @@ class TestCoulson:
         rng = random.Random(4242)
         roots = (-3, -2, -1, 1, 2, 3)
         # more than one chunk of one degree: D has degree 6 for each (no zero root)
-        same_degree = [CharPoly(_poly_from_roots([rng.choice(roots) for _ in range(6)]))
+        same_degree = [_poly_from_roots([rng.choice(roots) for _ in range(6)])
                        for _ in range(spectral_mod._CHUNK + 20)]
         assert {len(spectral_mod._abs2_coeffs(p)[1]) for p in same_degree} == {7}
         sparse = [_sparse_connected(rng, n, 4) for n in (40, 62)]
@@ -321,7 +332,7 @@ class TestCoulson:
         with pytest.raises(ValueError, match="finite and positive"):
             energy_coulsons([], tol=tol)
         with pytest.raises(ValueError, match="finite and positive"):
-            energy_coulsons([CharPoly((2, 0))], tol=tol)  # invalid, yet never read
+            energy_coulsons([(2, 0)], tol=tol)  # invalid, yet never read
 
     def test_additive_over_unions_through_the_integral(self):
         # the integral route never sees the components, yet must add up
@@ -336,13 +347,13 @@ class TestCoulson:
 
 class TestClosedForms:
     def test_values_at_n_6_and_10(self):
-        assert closed_form_charpoly(6, 6).coeffs == (
+        assert closed_form_charpoly(6, 6) == (
             1, 0, -6, -2, 3, 0, 0,
         )
-        assert closed_form_charpoly(6, 8).coeffs == (
+        assert closed_form_charpoly(6, 8) == (
             1, 0, -8, -6, 3, 0, 0,
         )
-        assert closed_form_charpoly(10, 13).coeffs == (
+        assert closed_form_charpoly(10, 13) == (
             1, 0, -13, -8, 16, 0, 0, 0, 0, 0, 0,
         )
 
@@ -376,6 +387,6 @@ def test_energy_of_wheel_against_charpoly_roots():
     p = char_poly(g)
     import numpy as np
 
-    roots = np.roots(p.coeffs)
+    roots = np.roots(p)
     assert max(abs(r.imag) for r in roots) < 1e-8
     assert energy(g) == pytest.approx(sum(abs(r.real) for r in roots), abs=1e-8)

@@ -17,14 +17,13 @@ from graphenergy import (
 import graphenergy.spectral as spectral_mod
 import graphenergy.verify as verify_mod
 from graphenergy.census import PINNED, enumerate_connected
+from graphenergy.cli import render_json, render_text
 from graphenergy.verify import (
     ENERGY_TIE_TOL,
     CheckContext,
     CheckResult,
     DUAL_ENERGY_CLASSES,
     _digest_poly,
-    render_json,
-    render_text,
     run_checks,
 )
 
@@ -32,17 +31,17 @@ from graphenergy.verify import (
 class TestRankClass:
     def test_wheel_is_minimal_among_5_8(self):
         report = rank_class(5, 8)
-        assert report.minimal.graph6 == canonical_label(family_graph("W 5")).graph6
+        assert report.minimal.graph6 == canonical_label(family_graph("W 5"))
 
     def test_6_9_minimal_and_second(self):
         report = rank_class(6, 9)
-        assert report.minimal.graph6 == canonical_label(family_graph("Kb 3 3")).graph6
-        assert report.entries[1].graph6 == canonical_label(family_graph("S 6 9")).graph6
+        assert report.minimal.graph6 == canonical_label(family_graph("Kb 3 3"))
+        assert report.entries[1].graph6 == canonical_label(family_graph("S 6 9"))
 
     def test_6_7_minimal_and_third(self):
         report = rank_class(6, 7)
-        assert report.minimal.graph6 == canonical_label(family_graph("B 6 7")).graph6
-        assert report.entries[2].graph6 == canonical_label(family_graph("S 6 7")).graph6
+        assert report.minimal.graph6 == canonical_label(family_graph("B 6 7"))
+        assert report.entries[2].graph6 == canonical_label(family_graph("S 6 7"))
 
     def test_ordering_and_length_invariants(self):
         report = rank_class(6, 8)
@@ -63,7 +62,7 @@ class TestRankClass:
         rows = []
         for s in enumerate_connected(8, 11).graphs:
             g = graph6_decode(s)
-            coeffs = spectral_mod._char_poly_exact(g).coeffs
+            coeffs = spectral_mod._char_poly_exact(g)
             w = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
             rows.append((float(np.abs(w).sum()), s, _digest_poly(coeffs), coeffs))
         rows.sort(key=lambda r: (r[0], r[1]))
@@ -86,8 +85,8 @@ class TestRankClass:
         assert report.ties == ((14, 15, True),)
         i, j, cospectral = report.ties[0]
         assert cospectral
-        a = char_poly(graph6_decode(report.entries[i].graph6)).coeffs
-        b = char_poly(graph6_decode(report.entries[j].graph6)).coeffs
+        a = char_poly(graph6_decode(report.entries[i].graph6))
+        b = char_poly(graph6_decode(report.entries[j].graph6))
         assert a == b
         assert report.entries[i].charpoly_digest == report.entries[j].charpoly_digest
 
@@ -180,3 +179,14 @@ class TestRendering:
     def test_failures_accessor(self):
         _, bad = self._fake_results()
         assert bad.failures() == [{"item": "z", "value": 3, "ok": False}]
+
+    def test_a_row_without_a_verdict_is_an_error_everywhere(self, monkeypatch):
+        # run_checks, failures() and the text renderer read one rule: row["ok"]
+        unjudged = CheckResult("gamma", True, [{"item": "no verdict"}], 0.0)
+        with pytest.raises(KeyError):
+            unjudged.failures()
+        with pytest.raises(KeyError):
+            render_text([unjudged])
+        monkeypatch.setitem(verify_mod.CHECKS, "gamma", lambda ctx: unjudged.evidence)
+        with pytest.raises(KeyError):
+            run_checks(["gamma"])
