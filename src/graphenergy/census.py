@@ -9,14 +9,15 @@ Two independent generation strategies back every census:
   every isomorphism class is produced exactly once with no stored dedup.
   One walk of order n, towards e = n + 3, emits every connected graph it
   passes, so it fills all the classes of that order at once. The max-code
-  test places a relabelling one vertex at a time and extends each
-  candidate's code by one bit per level. Any leaf besides the identity is an
-  automorphism, so the test backjumps to the identity path and there skips
-  siblings in an orbit of an explored sibling (the first-path pruning of
-  McKay & Piperno, "Practical graph isomorphism II", 2014). Both are sound:
-  an automorphism that fixes the prefix and maps d to w maps the explored
-  subtree of d onto that of w code for code, and in DFS order every
-  automorphism found so far fixes the current identity prefix.
+  test (Read, 1978) is one walk that places a relabelling one vertex at a
+  time, and whose first path, the identity, is a node like any other. Any
+  other leaf is an automorphism: the walk backjumps from it to the first
+  path and there skips children in an orbit of an explored sibling (the
+  first-path pruning of McKay & Piperno, "Practical graph isomorphism II",
+  2014). Both are sound: an automorphism that fixes the prefix and maps d
+  to w maps the explored subtree of d onto that of w code for code, and in
+  DFS order every automorphism found so far fixes the current identity
+  prefix.
 * ``vertex``: grow connected graphs one vertex (plus its neighbourhood) at a
   time, deduplicating each level by canonical form from the refinement-based
   labeller. Neighbourhoods in one orbit of the automorphisms the labeller
@@ -115,22 +116,29 @@ def _column_values(rows: list[int], n: int) -> list[int]:
 def _is_max_code(rows: list[int], n: int) -> bool:
     """True iff no relabelling gives a lexicographically larger column code.
 
-    A node places a prefix of a relabelling. An unplaced vertex is a candidate
-    for the next position when its code against the prefix equals that
-    position's column; a larger code is an improving relabelling. The first
-    path is the identity and any other leaf is an automorphism: the walk
-    backjumps from it to the first path and skips there each sibling in
-    an orbit of an explored sibling (the module docstring says why this is
-    sound).
+    ``walk`` places a relabelling one vertex at a time. An unplaced vertex is
+    a candidate for the next position when its code against the prefix equals
+    that position's column; a larger code is an improving relabelling, and
+    the walk returns False from any depth. A node's identity child places
+    ``x == depth``. Off the first path a leaf is an automorphism, returned
+    straight up to the first path and merged into ``orbits`` there.
     """
     cols = _column_values(rows, n)
+    # early out, so that most failing tests build no lists: on the first
+    # path, vertex w >= d has the top d bits of its column as its code
+    for d in range(n):
+        col = cols[d]
+        for w in range(d + 1, n):
+            if cols[w] >> (w - d) > col:
+                return False
     orbits = list(range(n))  # union-find over every automorphism found so far
 
-    def below(depth: int, cands: list[tuple[int, int]], placed: list[int]):
+    def walk(cands: list[tuple[int, int]], placed: list[int], first: bool):
         # cands: (unplaced vertex, its code against placed). False on an
-        # improving relabelling, the first automorphism found, else None.
+        # improving relabelling; off the first path the automorphism found, else None.
+        depth = len(placed)
         if depth == n:
-            return tuple(placed)
+            return None if first else tuple(placed)
         target = cols[depth]
         equals = []
         for w, v in cands:
@@ -138,44 +146,30 @@ def _is_max_code(rows: list[int], n: int) -> bool:
                 return False
             if v == target:
                 equals.append(w)
+        explored: list[int] = []
         for x in equals:
-            rx = rows[x]
+            if first:
+                rx = dsu_find(orbits, x)
+                if any(dsu_find(orbits, u) == rx for u in explored):
+                    continue
+                explored.append(x)
+            r = rows[x]
             placed.append(x)
-            child = [(w, v << 1 | (rx >> w & 1)) for w, v in cands if w != x]
-            found = below(depth + 1, child, placed)
+            found = walk(
+                [(w, v << 1 | (r >> w & 1)) for w, v in cands if w != x],
+                placed,
+                first and x == depth,
+            )
             placed.pop()
-            if found is not None:
+            if found is None:
+                continue
+            if found is False or not first:
                 return found
+            for i, p in enumerate(found):  # an automorphism: merge its orbits
+                orbits[dsu_find(orbits, i)] = dsu_find(orbits, p)
         return None
 
-    # first path: vertex w >= d has the top d bits of its column as its code
-    siblings = []
-    for d in range(n):
-        sibs = []
-        for w in range(d + 1, n):
-            v = cols[w] >> (w - d)
-            if v > cols[d]:
-                return False
-            if v == cols[d]:
-                sibs.append(w)
-        siblings.append(sibs)
-    # its siblings, deepest first as a depth-first walk meets them
-    for d in range(n - 1, -1, -1):
-        explored = [d]
-        for w in siblings[d]:
-            rw = dsu_find(orbits, w)
-            if any(dsu_find(orbits, x) == rw for x in explored):
-                continue
-            explored.append(w)
-            r = rows[w]
-            cands = [(u, cols[u] >> (u - d) << 1 | (r >> u & 1)) for u in range(d, n) if u != w]
-            found = below(d + 1, cands, [*range(d), w])
-            if found is False:
-                return False
-            if found is not None:  # an automorphism: merge its orbits
-                for i, p in enumerate(found):
-                    orbits[dsu_find(orbits, i)] = dsu_find(orbits, p)
-    return True
+    return walk([(w, 0) for w in range(n)], [], True) is None
 
 
 def _generate_orderly(n: int, e: int) -> dict[tuple[int, int], list[str]]:

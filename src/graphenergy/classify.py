@@ -4,19 +4,23 @@ bridges, and edge cuts.
 The class split tests whether a graph contains two vertex-disjoint odd
 cycles whose lengths sum to 2 mod 4; graphs without such a pair are
 ``CLASS1``, the rest ``CLASS2`` with a witness pair. Cycle enumeration is
-exponential in general, so the split is limited to n <= 12 (cycle space
-rank stays tiny for the sparse censuses this serves).
+exponential in general, so the split is limited to n <= 12 and to
+``MAX_CLASSIFY_CYCLES`` simple cycles (cycle space rank stays tiny for the
+sparse censuses this serves).
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NotAnEdgeError, ScaleError
 from .graphs import Edge, Graph, delete_edges
 
 MAX_CLASSIFY_VERTICES = 12
+# K10 has 556,014 simple cycles; K11 has 5,488,059 and K12 some 60 million
+MAX_CLASSIFY_CYCLES = 10**6
 
 
 class ClassKind(enum.Enum):
@@ -85,20 +89,29 @@ def _odd_cycle_from_conflict(parent, depth, v, u) -> tuple[int, ...]:
     return tuple(path_v + path_u[-2::-1])
 
 
-def simple_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """All simple cycles as vertex sequences (each once, smallest vertex first)."""
-    cycles: list[tuple[int, ...]] = []
+def _cycles(g: Graph) -> Iterator[tuple[int, ...]]:
+    # The cycle s, a, ..., v (s smallest) is met once, as the path with a < v.
+    # ``closers`` are the neighbours of s above a: a path is extended only
+    # while one of them is still off it, so no dead branch is searched.
     nbrs = [g.neighbors(v) for v in range(g.n)]
     for s in range(g.n):
-        stack = [(s, 1 << s, (s,))]
+        stack = []
+        for a in nbrs[s]:
+            closers = g.adj[s] >> (a + 1) << (a + 1)
+            if a > s and closers:
+                stack.append((a, 1 << s | 1 << a, (s, a), closers))
         while stack:
-            v, mask, path = stack.pop()
+            v, mask, path, closers = stack.pop()
             for u in nbrs[v]:
                 if u == s and len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(path)
-                elif u > s and not mask >> u & 1:
-                    stack.append((u, mask | 1 << u, path + (u,)))
-    return cycles
+                    yield path
+                elif u > s and not mask >> u & 1 and closers & ~mask:
+                    stack.append((u, mask | 1 << u, path + (u,), closers))
+
+
+def simple_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """All simple cycles as vertex sequences (each once, smallest vertex first)."""
+    return list(_cycles(g))
 
 
 def _cycle_edges(path: tuple[int, ...]) -> frozenset[Edge]:
@@ -114,6 +127,8 @@ def classify(g: Graph, *, disjointness: str = "vertex") -> ClassLabel:
 
     ``disjointness`` selects vertex-disjoint (default) or edge-disjoint
     pairing; the vertex reading is the one the family checks rely on.
+    Raises ``ScaleError`` past ``MAX_CLASSIFY_VERTICES`` vertices or
+    ``MAX_CLASSIFY_CYCLES`` simple cycles.
     """
     if g.n > MAX_CLASSIFY_VERTICES:
         raise ScaleError(
@@ -121,7 +136,15 @@ def classify(g: Graph, *, disjointness: str = "vertex") -> ClassLabel:
         )
     if disjointness not in ("vertex", "edge"):
         raise ValueError(f"unknown disjointness {disjointness!r}")
-    odd = [c for c in simple_cycles(g) if len(c) % 2 == 1]
+    odd = []
+    # the cycles are met one at a time, so a dense graph fails before it fills memory
+    for count, c in enumerate(_cycles(g), 1):
+        if count > MAX_CLASSIFY_CYCLES:
+            raise ScaleError(
+                f"classification supports at most {MAX_CLASSIFY_CYCLES} simple cycles"
+            )
+        if len(c) % 2 == 1:
+            odd.append(c)
     for i in range(len(odd)):
         mask_i = 0
         for v in odd[i]:

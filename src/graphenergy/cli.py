@@ -14,11 +14,12 @@ import math
 import sys
 
 from .census import census_cache_store, get_census
-from .classify import MAX_CLASSIFY_VERTICES, ClassKind, classify, is_bipartite
+from .classify import ClassKind, classify, is_bipartite
 from .errors import (
     CorruptCacheError,
     GraphEnergyError,
     QuadratureAccuracyError,
+    ScaleError,
 )
 from .graph6 import graph6_decode
 from .graphs import Graph, family_graph
@@ -124,11 +125,13 @@ def _graph_report(label: str, g: Graph, spec: Spectrum, coulson: CoulsonEnergy) 
         "class_label": None,
         "class_witness": None,
     }
-    if g.n <= MAX_CLASSIFY_VERTICES:
+    try:
         label_obj = classify(g)
-        row["class_label"] = label_obj.kind.value
-        if label_obj.kind == ClassKind.CLASS2:
-            row["class_witness"] = [list(c) for c in label_obj.witness]
+    except ScaleError:  # past the order or cycle cap: no label
+        return row
+    row["class_label"] = label_obj.kind.value
+    if label_obj.kind == ClassKind.CLASS2:
+        row["class_witness"] = [list(c) for c in label_obj.witness]
     return row
 
 
@@ -150,11 +153,13 @@ def _parse_graph_line(line: str) -> Graph:
 def _cmd_energy(args) -> int:
     items: list[tuple[str, Graph]] = []
     errors: list[str] = []
-    for expr in args.family:
+    # an error names the argument by position, as it names an input line, so
+    # that a huge argument is not echoed back
+    for pos, expr in enumerate(args.family, start=1):
         try:
             items.append((expr, family_graph(expr)))
         except GraphEnergyError as exc:
-            errors.append(f"--family {expr!r}: {exc}")
+            errors.append(f"--family {pos}: {exc}")
     if args.input:
         if args.input == "-":
             # the bytes under stdin, so that no locale decodes them (a text

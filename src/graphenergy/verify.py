@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .census import PINNED, census_digest, enumerate_connected, get_census
 from .classify import ClassKind, classify, is_bipartite, is_edge_cut
+from .graph6 import graph6_decode
 from .graphs import (
     Graph,
     disjoint_union,
@@ -28,6 +29,7 @@ from .graphs import (
     make_s_graph,
 )
 from .spectral import (
+    _CHUNK,
     b_coeffs,
     char_poly,
     closed_form_charpoly,
@@ -100,19 +102,24 @@ def _digest_poly(coeffs) -> str:
 
 
 def rank_class(n: int, e: int, cache_dir=None) -> RankReport:
-    """Enumerate the class, compute authoritative energies, sort, mark ties."""
-    census = get_census(n, e, cache_dir)
-    rows = sorted(
-        zip(spectra(census.members()), census.graphs), key=lambda r: (r[0].energy, r[1])
-    )
+    """Enumerate the class, compute authoritative energies, sort, mark ties.
+
+    The census is decoded and solved one stacked chunk at a time, keeping
+    only each graph's (energy, graph6, polynomial).
+    """
+    strings = get_census(n, e, cache_dir).graphs
+    rows = []
+    for lo in range(0, len(strings), _CHUNK):
+        chunk = strings[lo:lo + _CHUNK]
+        specs = spectra([graph6_decode(s) for s in chunk])
+        rows += [(spec.energy, s, spec.charpoly) for s, spec in zip(chunk, specs)]
+    rows.sort()  # by energy, then string: strings are distinct
     ties = tuple(
-        (i, i + 1, a.charpoly == b.charpoly)
-        for i, ((a, _), (b, _)) in enumerate(zip(rows, rows[1:]))
-        if b.energy - a.energy <= ENERGY_TIE_TOL
+        (i, i + 1, a[2] == b[2])
+        for i, (a, b) in enumerate(zip(rows, rows[1:]))
+        if b[0] - a[0] <= ENERGY_TIE_TOL
     )
-    entries = tuple(
-        RankedGraph(s, spec.energy, _digest_poly(spec.charpoly)) for spec, s in rows
-    )
+    entries = tuple(RankedGraph(s, en, _digest_poly(p)) for en, s, p in rows)
     return RankReport(n, e, entries, ties)
 
 
@@ -205,14 +212,8 @@ def default_inequality_range() -> list[int]:
 def check_family_inequalities(ctx: CheckContext) -> list[dict]:
     """Numeric verification of the pairwise family-energy inequalities."""
     ev: list[dict] = []
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def energy_of(g: Graph) -> float:
-        # the items share most of their graphs: one eigensolve per distinct graph
-        key = (g.n, g.adj)
-        if key not in memo:
-            memo[key] = energy(g)
-        return memo[key]
+    # the items share most of their graphs: one eigensolve per distinct graph
+    energy_of = functools.cache(energy)
 
     # fixed reference energies, five decimals
     for fam, want in [

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -64,6 +65,21 @@ class TestSimpleCycles:
     def test_tree_has_none(self):
         assert simple_cycles(make_star(6)) == []
 
+    @given(graph_strategy(min_n=1, max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_against_networkx(self, g):
+        # the search skips a branch once no neighbour of its start can close
+        # it; networkx shares no code with it
+        import networkx as nx
+
+        def edges(cycle):
+            return sorted(tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1]))
+
+        ours = simple_cycles(g)
+        assert all(c[0] == min(c) and c[1] < c[-1] for c in ours)
+        theirs = nx.simple_cycles(nx.Graph(list(g.edges())))
+        assert sorted(map(edges, ours)) == sorted(map(edges, theirs))
+
 
 class TestClassify:
     def test_bipartite_graphs_are_class1(self):
@@ -104,11 +120,17 @@ class TestClassify:
         h = Graph.from_edges(8, ring + five + [(0, 3)])
         assert classify(h).kind == ClassKind.CLASS1
 
-    def test_scale_envelope(self):
+    def test_scale_envelope(self, monkeypatch):
         with pytest.raises(ScaleError):
             classify(make_star(13))
         with pytest.raises(ValueError):
             classify(make_cycle(5), disjointness="sideways")
+        # K4 has 7 simple cycles and K5 has 37
+        classify_mod = importlib.import_module("graphenergy.classify")
+        monkeypatch.setattr(classify_mod, "MAX_CLASSIFY_CYCLES", 7)
+        assert classify(make_complete(4)).kind == ClassKind.CLASS1
+        with pytest.raises(ScaleError, match="at most 7 simple cycles"):
+            classify(make_complete(5))
 
     @given(graph_strategy(min_n=3, max_n=8))
     @settings(max_examples=60, deadline=None)

@@ -135,9 +135,13 @@ class TestEnergy:
 
     def test_parameter_past_the_int_digit_limit_is_usage(self, capsys, monkeypatch):
         # int() refuses more than 4,300 digits; both input forms must exit 2
-        code, out, err = run(capsys, "energy", "--family", "Star " + "9" * 5000)
+        code, out, err = run(
+            capsys, "energy", "--family", "K4", "--family", "Star " + "9" * 5000
+        )
         assert (code, out) == (2, "")
-        assert "has a parameter of 5000 digits" in err
+        assert "--family 2: family 'Star' has a parameter of 5000 digits" in err
+        # the argument is named by position, not echoed back
+        assert max(map(len, err.splitlines())) < 200
         monkeypatch.setattr("sys.stdin", io.StringIO("S 5 " + "0" * 4400 + "7\n"))
         code, out, err = run(capsys, "energy", "-")
         assert (code, out) == (2, "")
@@ -151,6 +155,19 @@ class TestEnergy:
         payload = json.loads(out)[0]
         assert payload["class_label"] is None
         assert payload["energy"] > 0
+
+    def test_graph_past_the_cycle_cap_skips_class_label(self, capsys):
+        # K12 has some 60 million simple cycles: the search stops at the cap
+        # instead of listing them, so the report exits 0 without a label
+        code, out, _ = run(
+            capsys, "--format", "json", "energy", "--family", "K 12", "--family", "K 10"
+        )
+        assert code == 0
+        k12, k10 = json.loads(out)
+        assert (k12["class_label"], k12["class_witness"]) == (None, None)
+        assert k12["energy"] == pytest.approx(22.0)
+        # K10's 556,014 cycles stay under the cap
+        assert k10["class_label"] == "class2"
 
     def test_class2_witness_in_report(self, capsys):
         code, out, _ = run(

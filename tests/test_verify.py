@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ class TestRankClass:
             (s, repr(en), dig) for en, s, dig, _ in rows
         ]
         assert report.ties == ties
+
+    def test_ranking_holds_no_whole_census_of_graphs(self):
+        # one chunk of graphs and spectra is alive at a time; the 4,495
+        # (energy, graph6, polynomial) rows take about 2.2 MiB
+        enumerate_connected(9, 12)
+        tracemalloc.start()
+        try:
+            report = rank_class(9, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.entries) == 4495
+        assert peak < 3 * 2**20
 
     def test_cospectral_pair_in_6_7_is_flagged(self):
         # the smallest connected cospectral pair in these classes sits in
