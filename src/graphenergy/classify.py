@@ -6,7 +6,12 @@ cycles whose lengths sum to 2 mod 4; graphs without such a pair are
 ``CLASS1``, the rest ``CLASS2`` with a witness pair. Cycle enumeration is
 exponential in general, so the split is limited to n <= 12 and to
 ``MAX_CLASSIFY_CYCLES`` simple cycles (cycle space rank stays tiny for the
-sparse censuses this serves).
+sparse censuses this serves). The pairing is over distinct keys, not
+cycles: an odd cycle's key is its vertex mask (its edge mask under the
+edge-disjoint reading), and the first cycle met with each key stands for
+all of them. Cycles with one key pair alike with every other cycle, so the
+first compatible pair of cycles in enumeration order is a pair of first
+occurrences and the witness is unchanged.
 """
 
 from __future__ import annotations
@@ -89,10 +94,11 @@ def _odd_cycle_from_conflict(parent, depth, v, u) -> tuple[int, ...]:
     return tuple(path_v + path_u[-2::-1])
 
 
-def _cycles(g: Graph) -> Iterator[tuple[int, ...]]:
-    # The cycle s, a, ..., v (s smallest) is met once, as the path with a < v.
-    # ``closers`` are the neighbours of s above a: a path is extended only
-    # while one of them is still off it, so no dead branch is searched.
+def _cycles(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
+    # Each simple cycle with its vertex mask. The cycle s, a, ..., v (s
+    # smallest) is met once, as the path with a < v. ``closers`` are the
+    # neighbours of s above a: a path is extended only while one of them is
+    # still off it, so no dead branch is searched.
     nbrs = [g.neighbors(v) for v in range(g.n)]
     for s in range(g.n):
         stack = []
@@ -104,22 +110,14 @@ def _cycles(g: Graph) -> Iterator[tuple[int, ...]]:
             v, mask, path, closers = stack.pop()
             for u in nbrs[v]:
                 if u == s and len(path) >= 3 and path[1] < path[-1]:
-                    yield path
+                    yield path, mask
                 elif u > s and not mask >> u & 1 and closers & ~mask:
                     stack.append((u, mask | 1 << u, path + (u,), closers))
 
 
 def simple_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All simple cycles as vertex sequences (each once, smallest vertex first)."""
-    return list(_cycles(g))
-
-
-def _cycle_edges(path: tuple[int, ...]) -> frozenset[Edge]:
-    out = set()
-    for i, v in enumerate(path):
-        u = path[(i + 1) % len(path)]
-        out.add((min(u, v), max(u, v)))
-    return frozenset(out)
+    return [path for path, _ in _cycles(g)]
 
 
 def classify(g: Graph, *, disjointness: str = "vertex") -> ClassLabel:
@@ -129,6 +127,16 @@ def classify(g: Graph, *, disjointness: str = "vertex") -> ClassLabel:
     pairing; the vertex reading is the one the family checks rely on.
     Raises ``ScaleError`` past ``MAX_CLASSIFY_VERTICES`` vertices or
     ``MAX_CLASSIFY_CYCLES`` simple cycles.
+
+    Each odd cycle is reduced to its key, its vertex or edge mask by the
+    reading; two cycles are disjoint when their keys share no bit, and a key
+    fixes its cycle's length (its popcount). Only the first cycle met with
+    each key is kept, and one loop pairs the distinct keys in first-seen
+    order. The witness is the first compatible pair (i, j) of cycles in
+    enumeration order: were i not the first with its key, that earlier
+    cycle would pair with j first; were j not, its earlier twin b would make
+    the earlier pair (i, b) or (b, i). Under the edge reading no two cycles
+    share a key.
     """
     if g.n > MAX_CLASSIFY_VERTICES:
         raise ScaleError(
@@ -136,33 +144,24 @@ def classify(g: Graph, *, disjointness: str = "vertex") -> ClassLabel:
         )
     if disjointness not in ("vertex", "edge"):
         raise ValueError(f"unknown disjointness {disjointness!r}")
-    odd = []
+    first = {}  # key -> first odd cycle with it
     # the cycles are met one at a time, so a dense graph fails before it fills memory
-    for count, c in enumerate(_cycles(g), 1):
+    for count, (c, key) in enumerate(_cycles(g), 1):
         if count > MAX_CLASSIFY_CYCLES:
             raise ScaleError(
                 f"classification supports at most {MAX_CLASSIFY_CYCLES} simple cycles"
             )
         if len(c) % 2 == 1:
-            odd.append(c)
-    for i in range(len(odd)):
-        mask_i = 0
-        for v in odd[i]:
-            mask_i |= 1 << v
-        edges_i = _cycle_edges(odd[i]) if disjointness == "edge" else None
-        for j in range(i + 1, len(odd)):
-            if (len(odd[i]) + len(odd[j])) % 4 != 2:
-                continue
-            if disjointness == "vertex":
-                mask_j = 0
-                for v in odd[j]:
-                    mask_j |= 1 << v
-                if mask_i & mask_j:
-                    continue
-            else:
-                if edges_i & _cycle_edges(odd[j]):
-                    continue
-            return ClassLabel(ClassKind.CLASS2, (odd[i], odd[j]))
+            if disjointness == "edge":
+                key = 0
+                for u, v in zip(c, c[1:] + c[:1]):
+                    key |= 1 << (min(u, v) * g.n + max(u, v))
+            first.setdefault(key, c)
+    odd = list(first.items())
+    for i, (ka, a) in enumerate(odd):
+        for kb, b in odd[i + 1:]:
+            if (len(a) + len(b)) % 4 == 2 and not ka & kb:
+                return ClassLabel(ClassKind.CLASS2, (a, b))
     return ClassLabel(ClassKind.CLASS1, None)
 
 

@@ -43,6 +43,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _trial_count(text: str) -> int:
+    """An integer of at least 1; argparse makes anything else a usage error."""
+    try:
+        trials = int(text)
+    except ValueError:
+        trials = 0
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return trials
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphenergy",
@@ -102,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--trials",
-        type=int,
+        type=_trial_count,
         default=CheckContext.trials,
         help="trial count for seeded checks (default %(default)s)",
     )

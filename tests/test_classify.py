@@ -1,8 +1,11 @@
+import hashlib
 import importlib
 import itertools
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphenergy import (
     ClassKind,
@@ -12,6 +15,7 @@ from graphenergy import (
     bridges,
     classify,
     delete_edges,
+    family_graph,
     is_bipartite,
     is_edge_cut,
     make_b_graph,
@@ -22,7 +26,7 @@ from graphenergy import (
     make_star,
     simple_cycles,
 )
-from graphenergy.census import enumerate_connected
+from graphenergy.census import PINNED, enumerate_connected
 from graphenergy.graph6 import graph6_decode
 
 from test_graphs import graph_strategy
@@ -152,6 +156,71 @@ class TestClassify:
             runs.append(counts)
         assert runs[0] == runs[1]
         assert runs[0][ClassKind.CLASS2] == 1
+
+
+def _pairwise_classify(g, disjointness):
+    """The reference: every two odd cycles in enumeration order, first match wins."""
+    def cycle_edges(path):
+        return frozenset(
+            (min(u, v), max(u, v)) for u, v in zip(path, path[1:] + path[:1])
+        )
+
+    odd = [c for c in simple_cycles(g) if len(c) % 2 == 1]
+    for i in range(len(odd)):
+        for j in range(i + 1, len(odd)):
+            if (len(odd[i]) + len(odd[j])) % 4 != 2:
+                continue
+            if disjointness == "vertex":
+                if set(odd[i]) & set(odd[j]):
+                    continue
+            elif cycle_edges(odd[i]) & cycle_edges(odd[j]):
+                continue
+            return ClassKind.CLASS2, (odd[i], odd[j])
+    return ClassKind.CLASS1, None
+
+
+@st.composite
+def sparse_graphs(draw, max_n=10, max_excess=6):
+    # at most n + max_excess edges keeps the reference's pairing small
+    n = draw(st.integers(3, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n + max_excess))
+    return Graph.from_edges(n, edges)
+
+
+# sha256 over "graph6 reading kind witness" lines for every member of the 19
+# pinned classes under both readings, taken from the pairwise loop it replaced
+PINNED_LABELS_SHA256 = "8f84ba739098efbaca73455e4740da036535bb1c374333301b12c2c5ae5c9a2b"
+
+
+class TestKeyPairing:
+    @given(sparse_graphs())
+    # K5's twelve 5-cycles share one vertex mask: the witness is the first of them
+    @example(family_graph("K5 + C5"))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_pairwise_reference(self, g):
+        for reading in ("vertex", "edge"):
+            label = classify(g, disjointness=reading)
+            assert (label.kind, label.witness) == _pairwise_classify(g, reading)
+
+    def test_pinned_classes_keep_label_and_witness(self):
+        h = hashlib.sha256()
+        for n, e in sorted(PINNED):
+            for s in enumerate_connected(n, e).graphs:
+                g = graph6_decode(s)
+                for reading in ("vertex", "edge"):
+                    label = classify(g, disjointness=reading)
+                    h.update(f"{s} {reading} {label.kind.value} {label.witness}\n".encode())
+        assert h.hexdigest() == PINNED_LABELS_SHA256
+
+    @pytest.mark.parametrize("text", ["I?~vfbo~w", "K?B~vrw}Fo^~"])
+    def test_apex_over_complete_bipartite_is_fast(self, text):
+        # a vertex joined to all of K4,5 (4,580 odd cycles) or K5,6 (137,430),
+        # every one through the apex: pairing the cycles themselves is quadratic
+        g = graph6_decode(text)
+        start = time.process_time()
+        assert classify(g).kind == ClassKind.CLASS1
+        assert time.process_time() - start < 1.0
 
 
 class TestBridges:

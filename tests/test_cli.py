@@ -392,3 +392,23 @@ class TestVerify:
         summary = payload[0]["evidence"][-1]
         assert summary["trials"] == 25
         assert summary["seed"] == 5
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "many"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "edge-cut", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_all_among_other_names_runs_every_check(self, capsys, monkeypatch):
+        ran = []
+        for name in verify_mod.CHECKS:
+            monkeypatch.setitem(
+                verify_mod.CHECKS, name, lambda ctx, name=name: ran.append(name) or [{"ok": True}]
+            )
+        code, out, _ = run(
+            capsys, "--format", "json", "verify", "--check", "all", "--check", "closed-forms"
+        )
+        assert code == 0
+        assert [r["name"] for r in json.loads(out)] == ran == list(verify_mod.CHECKS)
+        assert len(ran) == 9

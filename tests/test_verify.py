@@ -126,6 +126,12 @@ class TestChecks:
         assert summary["trials"] == 60
         assert summary["violations"] == 0
 
+    def test_edge_cut_lemma_without_trials_fails(self):
+        [result] = run_checks(["edge-cut"], CheckContext(trials=0))
+        assert not result.passed
+        assert result.failures() == [result.evidence[-1]]
+        assert result.evidence[-1]["violations"] == 0
+
     def test_edge_cut_lemma_deterministic_in_seed(self):
         [a, b] = run_checks(["edge-cut", "edge-cut"], CheckContext(seed=3, trials=40))
         assert [r for r in a.evidence] == [r for r in b.evidence]
