@@ -7,17 +7,16 @@ Two independent generation strategies back every census:
   labelled adjacency code is maximal over all relabellings, and removing the
   last set bit of a maximal code provably yields a maximal code again, so
   every isomorphism class is produced exactly once with no stored dedup.
-  One walk of order n, towards e = n + 3, emits every connected graph it
-  passes, so it fills all the classes of that order at once. The max-code
-  test (Read, 1978) is one walk that places a relabelling one vertex at a
-  time, and whose first path, the identity, is a node like any other. Any
-  other leaf is an automorphism: the walk backjumps from it to the first
-  path and there skips children in an orbit of an explored sibling (the
-  first-path pruning of McKay & Piperno, "Practical graph isomorphism II",
-  2014). Both are sound: an automorphism that fixes the prefix and maps d
-  to w maps the explored subtree of d onto that of w code for code, and in
-  DFS order every automorphism found so far fixes the current identity
-  prefix.
+  A walk towards (n, e) emits every connected graph it passes, so it fills
+  every class (n, m <= e) at once. The max-code test (Read, 1978) is one
+  walk that places a relabelling one vertex at a time, and whose first
+  path, the identity, is a node like any other. Any other leaf is an
+  automorphism: the walk backjumps from it to the first path and there
+  skips children in an orbit of an explored sibling (the first-path pruning
+  of McKay & Piperno, "Practical graph isomorphism II", 2014). Both are
+  sound: an automorphism that fixes the prefix and maps d to w maps the
+  explored subtree of d onto that of w code for code, and in DFS order
+  every automorphism found so far fixes the current identity prefix.
 * ``vertex``: grow connected graphs one vertex (plus its neighbourhood) at a
   time, deduplicating each level by canonical form from the refinement-based
   labeller. Neighbourhoods in one orbit of the automorphisms the labeller
@@ -30,9 +29,11 @@ graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
 its VF2 isomorphism test.
 
 Census members are canonical graph6 strings, sorted, so cache files diff
-cleanly and reports are stable. One memo, keyed by class, holds every class
-a walk completes. ``PINNED`` freezes the count and digest of every class the
-checks rank or count; a cache load and the ``census`` check compare with it.
+cleanly and reports are stable. Both strategies walk towards the requested
+(n, e) and return every class they complete on the way; one memo, keyed by
+class, holds them all. ``PINNED`` freezes the count and digest of every
+class the checks rank or count; a cache load and the ``census`` check
+compare with it.
 """
 
 from __future__ import annotations
@@ -173,30 +174,28 @@ def _is_max_code(rows: list[int], n: int) -> bool:
 
 
 def _generate_orderly(n: int, e: int) -> dict[tuple[int, int], list[str]]:
-    """Every class (n, m <= n + 3) as canonical graph6; below n - 1 edges, an empty (n, e).
+    """Every class (n, m <= e) as canonical graph6.
 
-    One walk towards n + 3 fills every class on the way: a connected graph
-    with m <= n + 3 edges has only max-code ancestors with c components and
-    m' edges where c - 1 <= m - m', so the component prune never cuts it off.
+    One walk towards e fills every class on the way: a connected graph with
+    m <= e edges has only max-code ancestors with c components and m' edges
+    where c - 1 <= m - m', so the component prune never cuts it off. Below
+    n - 1 edges the prune cuts every child of the root, and each class is empty.
     """
-    if e < n - 1:  # too few edges to connect: no walk
-        return {(n, e): []}
-    e_max = n + MAX_ENUM_EXCESS
     pairs = _pair_order(n)
     total_pairs = len(pairs)
-    out: dict[tuple[int, int], list[str]] = {(n, m): [] for m in range(e_max + 1)}
+    out: dict[tuple[int, int], list[str]] = {(n, m): [] for m in range(e + 1)}
 
     def extend(rows: list[int], m: int, last: int, parent: list[int], comps: int):
         if comps == 1:
             out[n, m].append(canonical_g6(n, rows))
-        if m == e_max:
+        if m == e:
             return
         for p in range(last + 1, total_pairs):
             i, j = pairs[p]
             ri, rj = dsu_find(parent, i), dsu_find(parent, j)
             new_comps = comps - (ri != rj)
             # every edge still to come can join at most two components
-            if new_comps - 1 > e_max - m - 1:
+            if new_comps - 1 > e - m - 1:
                 continue
             rows[i] |= 1 << j
             rows[j] |= 1 << i
@@ -301,9 +300,9 @@ def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClass
     """Census of connected (n,e)-graphs, one canonical representative each.
 
     Supported envelope: n <= 10 and e <= n + 3. Larger requests fail loudly
-    rather than truncating. The memo keeps every class a walk completes:
-    ``edge`` walks order n once, up to e = n + 3; ``vertex`` towards (n, e)
-    also completes every class its levels k < n hold.
+    rather than truncating. Both strategies walk towards (n, e), and the memo
+    keeps every class the walk completes: ``edge`` fills every (n, m <= e);
+    ``vertex`` also completes every class its levels k < n hold.
     ``enumerate_connected.cache_clear()`` drops the memo.
     """
     if strategy not in _STRATEGIES:

@@ -400,9 +400,9 @@ def check_edge_cut_lemma(ctx: CheckContext) -> list[dict]:
 
 def check_census_counts(ctx: CheckContext) -> list[dict]:
     """Each pinned class's count and digest, plus two-strategy agreement."""
-    enumerate_connected(*VERTEX_WALK, strategy="vertex")  # fills every agreement class
     ev = []
-    for (n, e), (count, digest) in sorted(PINNED.items()):
+    # largest first: one edge walk per order and the VERTEX_WALK walk fill every class
+    for (n, e), (count, digest) in sorted(PINNED.items(), reverse=True):
         edge = enumerate_connected(n, e)
         digest_ok = census_digest(edge.graphs) == digest
         if (n, e) in AGREEMENT_CLASSES:
@@ -416,7 +416,7 @@ def check_census_counts(ctx: CheckContext) -> list[dict]:
                    "actual": len(edge)}
             ok = len(edge) == count
         ev.append({**row, "digest_matches_pin": digest_ok, "ok": ok and digest_ok})
-    return ev
+    return ev[::-1]
 
 
 # Vertex-disjoint class-2 counts per bicyclic census, frozen from enumeration,

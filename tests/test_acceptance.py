@@ -61,9 +61,10 @@ def test_criterion_1_census_counts(monkeypatch):
         agreed = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "derived-count"]
         assert agreed == sorted(c for c in PINNED if c not in ((9, 10), (9, 11)))
         assert len(agreed) == 17
-    # one vertex walk fills all 17; one edge walk per order fills every class
+    # one vertex walk fills all 17; one edge walk per order, towards its
+    # largest pinned class, fills every class of that order
     assert walks["vertex"] == [(9, 12)]
-    assert sorted(n for n, _ in walks["edge"]) == [4, 5, 6, 7, 8, 9]
+    assert sorted(walks["edge"]) == [(4, 6), (5, 8), (6, 9), (7, 10), (8, 11), (9, 12)]
 
 
 def test_criterion_2_reference_energies():

@@ -81,7 +81,8 @@ def test_known_counts(n, e):
     assert len(enumerate_connected(n, e)) == KNOWN[(n, e)]
 
 
-@pytest.mark.parametrize("n,e", sorted(PINNED_CENSUSES))
+# largest e first, so that a cold memo walks each order once
+@pytest.mark.parametrize("n,e", sorted(PINNED_CENSUSES, reverse=True))
 def test_census_bytes_are_pinned(n, e):
     want = PINNED_CENSUSES[(n, e)]
     census = enumerate_connected(n, e)
@@ -107,27 +108,28 @@ def test_members_are_connected_canonical_and_distinct():
 
 
 def test_strategies_agree_through_n6():
+    # largest e first: one edge walk per order fills the rest of it
     for n in range(1, 7):
-        for e in range(max(0, n - 1), n + 4):
+        for e in range(n + 3, max(0, n - 1) - 1, -1):
             edge = enumerate_connected(n, e).graphs
             vertex = enumerate_connected(n, e, strategy="vertex").graphs
             assert edge == vertex, (n, e)
 
 
 def test_strategies_agree_at_n7():
-    for e in range(6, 11):
+    for e in range(10, 5, -1):
         edge = enumerate_connected(7, e).graphs
         assert edge == enumerate_connected(7, e, strategy="vertex").graphs, e
 
 
 def test_strategies_agree_at_n8():
-    for e in range(7, 12):
+    for e in range(11, 6, -1):
         edge = enumerate_connected(8, e).graphs
         assert edge == enumerate_connected(8, e, strategy="vertex").graphs, e
 
 
-def test_edge_walks_each_order_once(monkeypatch):
-    # a fresh memo, so the walk is counted whatever ran before
+def test_edge_walk_goes_as_far_as_asked(monkeypatch):
+    # a fresh memo, so the walks are counted whatever ran before
     walks = []
     walk_order = census_module._STRATEGIES["edge"]
 
@@ -137,18 +139,31 @@ def test_edge_walks_each_order_once(monkeypatch):
 
     monkeypatch.setitem(census_module._STRATEGIES, "edge", counted)
     monkeypatch.setattr(census_module, "_memo", {})
-    censuses = [enumerate_connected(8, e) for e in range(7, 12)]
-    assert walks == [(8, 7)]
-    assert [len(c) for c in censuses] == [23, 89, 236, 486, 814]
-    for c in censuses[2:]:
+    census = enumerate_connected(8, 9)
+    assert (len(census), census_digest(census.graphs)) == PINNED_CENSUSES[(8, 9)]
+    # the walk towards (8,9) filled every class of order 8 up to e = 9
+    assert [len(enumerate_connected(8, m)) for m in range(10)] == [0] * 7 + [23, 89, 236]
+    assert enumerate_connected(8, 9, strategy="vertex").graphs == census.graphs
+    assert walks == [(8, 9)]
+    # a larger e takes a new walk, and that one fills the classes in between
+    censuses = [enumerate_connected(8, e) for e in (11, 10)]
+    assert walks == [(8, 9), (8, 11)]
+    for c in censuses:
         assert (len(c), census_digest(c.graphs)) == PINNED_CENSUSES[(8, c.e)]
-    assert enumerate_connected(8, 3).graphs == ()  # the order-8 walk filled it too
-    assert enumerate_connected(8, 9, strategy="vertex").graphs == censuses[2].graphs
-    assert walks == [(8, 7)]
-    # too few edges to connect: an empty answer that walks and fills nothing
+    # too few edges to connect: the component prune cuts every child of the
+    # root, so the walk is at once an empty answer
     assert enumerate_connected(7, 2).graphs == ()
     assert len(enumerate_connected(7, 6)) == 11
-    assert walks == [(8, 7), (7, 2), (7, 6)]
+    assert walks == [(8, 9), (8, 11), (7, 2), (7, 6)]
+
+
+def test_edge_walk_stops_at_the_requested_e():
+    # 106 trees and 657 connected unicyclic graphs on 10 vertices: OEIS
+    # A000055 and A001429; no class above e = 10 is walked
+    by_class = _generate_orderly(10, 10)
+    assert sorted(by_class) == [(10, m) for m in range(11)]
+    assert [len(by_class[10, m]) for m in (9, 10)] == [106, 657]
+    assert not any(by_class[10, m] for m in range(9))
 
 
 def _is_automorphism(rows, perm):
@@ -280,9 +295,9 @@ def _assert_canonical_members(strings, n, e):
 
 
 def test_generators_return_exact_parameters():
-    # one edge walk of order 5 fills every class of that order up to e = 8
+    # one edge walk towards (5, 6) fills every class of that order up to e = 6
     by_class = _generate_orderly(5, 6)
-    assert sorted(by_class) == [(5, m) for m in range(9)]
+    assert sorted(by_class) == [(5, m) for m in range(7)]
     assert not any(by_class[5, m] for m in range(4))
     for (n, e), strings in by_class.items():
         _assert_canonical_members(strings, n, e)
@@ -295,8 +310,8 @@ def test_generators_return_exact_parameters():
     for (n, e), strings in by_class.items():
         _assert_canonical_members(strings, n, e)
     assert len(by_class[5, 6]) == KNOWN[(5, 6)]
-    # too few edges to connect: the requested class is still a key, and empty
-    assert _generate_orderly(5, 3) == {(5, 3): []}
+    # too few edges to connect: every class up to the requested one is empty
+    assert _generate_orderly(5, 3) == {(5, m): [] for m in range(4)}
     assert _generate_vertex_aug(5, 3) == {(5, 3): [], (1, 0): ["@"]}
 
 
