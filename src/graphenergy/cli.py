@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Callable
 
 from .census import census_cache_store, get_census
 from .classify import ClassKind, classify, is_bipartite
@@ -43,15 +44,19 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _trial_count(text: str) -> int:
-    """An integer of at least 1; argparse makes anything else a usage error."""
-    try:
-        trials = int(text)
-    except ValueError:
-        trials = 0
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return trials
+def _integer_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers of at least ``low``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not an integer of at least {low}: {text!r}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="lowest-energy graphs of a class")
     p_rank.add_argument("n", type=int)
     p_rank.add_argument("e", type=int)
-    p_rank.add_argument("--top", type=int, default=10, help="rows to print (default 10)")
+    p_rank.add_argument(
+        "--top", type=_integer_at_least(0), default=10, help="rows to print (default 10)"
+    )
 
     p_verify = sub.add_parser("verify", help="run verification checks")
     p_verify.add_argument(
@@ -113,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--trials",
-        type=_trial_count,
+        type=_integer_at_least(1),
         default=CheckContext.trials,
         help="trial count for seeded checks (default %(default)s)",
     )
@@ -280,7 +287,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_rank(args) -> int:
     report = rank_class(args.n, args.e, args.cache_dir)
-    k = max(0, args.top)
     rows = [
         {
             "rank": i + 1,
@@ -288,7 +294,7 @@ def _cmd_rank(args) -> int:
             "energy": entry.energy,
             "charpoly_digest": entry.charpoly_digest,
         }
-        for i, entry in enumerate(report.entries[:k])
+        for i, entry in enumerate(report.entries[: args.top])
     ]
     if args.format == "json":
         print(

@@ -8,16 +8,34 @@ Per chunk, the Faddeev-LeVerrier recurrence
 
     M_1 = A,   M_k = A (M_{k-1} + c_{k-1} I),   c_k = -tr(M_k) / k,
 
-runs with per-graph checks that each division is exact and that c_2 = -e. It
-uses a stacked ``(k, n, n)`` int64 array when ``n * 2**n * D**n < 2**62``,
-where D is the largest degree in the chunk (taken as at least 1), and the
-Python-integer recurrence per graph otherwise, so coefficients are exact at
-any order. The bound rules out overflow: M_k = sum_{j<k} c_j A^(k-j), every
-eigenvalue has |lambda| <= D so |c_j| = |e_j(lambda)| <= C(n,j) D^j, and
-entries of A^i are at most D^i. Every entry of M_k, of M_k + c_k I, and every
-partial sum of the non-negative combination A @ X is therefore at most
-D^k sum_j C(n,j) <= 2^n D^n, and a trace adds n of them. Orders n <= 9 sit far
-inside (9 * 2^9 * 8^9 < 2^40); n = 62 is outside at any degree.
+checks c_2 = -e for every graph and takes one of two exact routes.
+
+While ``n * 2**n * D**n < 2**62``, where D is the largest degree in the chunk
+(taken as at least 1), it runs on a stacked ``(k, n, n)`` int64 array and also
+checks that each division by k is exact. The bound rules out overflow:
+M_k = sum_{j<k} c_j A^(k-j), every eigenvalue has |lambda| <= D so
+|c_j| = |e_j(lambda)| <= C(n,j) D^j, and entries of A^i are at most D^i. Every
+entry of M_k, of M_k + c_k I, and every partial sum of the non-negative
+combination A @ X is therefore at most D^k sum_j C(n,j) <= 2^n D^n, and a
+trace adds n of them. Orders n <= 9 sit far inside (9 * 2^9 * 8^9 < 2^40);
+n = 62 is outside at any degree.
+
+Otherwise each graph runs the recurrence modulo the fixed primes p < 2^44 of
+``_PRIMES``, all of them at once on a float64 ``(P, n, n)`` stack of residues,
+and rebuilds each coefficient by the Chinese remainder theorem. The primes
+exceed n, so division by k is multiplication by its inverse mod p. A step
+adds c_{k-1} mod p in [0, p) to the diagonal, multiplies by A and reduces
+with m - p * floor(m / p). Every integer below 2^53 is a float64, so a
+correctly rounded m / p never falls below floor(m / p) and at most reaches
+the next integer: the reduction leaves residues in (-p, p), every entry of
+M_k + c_k I lies in (-p, 2p), and every partial sum of A @ X, in any order,
+adds at most D <= 61 of them, an integer of magnitude below
+2 * 61 * 2^44 < 2^51. A trace adds n <= 62 residues, below 2^50. float64
+holds all of them exactly. Since |c_k| <= C(n,k) D^k, the fewest primes whose
+product exceeds 2 max_k C(n,k) D^k, D now the graph's own largest degree,
+fix each c_k as the residue of least magnitude, and one spare prime must
+agree with every rebuilt coefficient, so a wrong residue raises
+:class:`GraphEnergyError` instead of corrupting the polynomial.
 
 ``spectra`` is the authoritative energy route (symmetric eigensolver); each
 :class:`Spectrum` carries the exact polynomial that gated it, through the
@@ -60,6 +78,13 @@ class CoulsonEnergy:
 # int64 Faddeev-LeVerrier is exact while n * 2**n * D**n stays below this
 # (proof in the module docstring).
 _INT64_LIMIT = 1 << 62
+# Primes below 2**44 for the modular route, the largest nine of them enough for
+# every graph up to n = 62 (2 max_k C(62,k) 61^k < 2^369 < their product), the
+# tenth a spare; fixed here, as finding them at import costs seconds.
+_PRIMES = (
+    17592186044399, 17592186044299, 17592186044297, 17592186044287, 17592186044273,
+    17592186044267, 17592186044129, 17592186044089, 17592186044057, 17592186044039,
+)
 # Graphs per stacked pass: big enough to amortise the numpy calls, small
 # enough that the (k, n, n) stacks add little to peak memory.
 _CHUNK = 256
@@ -89,46 +114,9 @@ def _adjacency_stack(graphs: list[Graph]) -> np.ndarray:
     return (rows[:, :, None] >> np.arange(rows.shape[1])) & 1
 
 
-def _char_poly_exact(g: Graph) -> tuple[int, ...]:
-    """The recurrence over Python integers; exact at any order."""
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    # A is 0/1, so A*M reduces to summing neighbour rows.
-    m = [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
-    coeffs = [1, -sum(m[i][i] for i in range(n))]
-    for k in range(2, n + 1):
-        ck = coeffs[-1]
-        for i in range(n):
-            m[i][i] += ck
-        nxt = []
-        for i in range(n):
-            row = [0] * n
-            for u in nbrs[i]:
-                mu = m[u]
-                for j in range(n):
-                    row[j] += mu[j]
-            nxt.append(row)
-        m = nxt
-        tr = sum(m[i][i] for i in range(n))
-        if tr % k:
-            raise GraphEnergyError("characteristic polynomial recurrence lost exactness")
-        coeffs.append(-(tr // k))
-    if n >= 2 and coeffs[2] != -g.e:
-        raise GraphEnergyError("characteristic polynomial failed the edge-count identity")
-    return tuple(coeffs)
-
-
-def _stacked_char_polys(graphs: list[Graph]) -> list[tuple[int, ...]]:
-    """Exact characteristic polynomials of one chunk of graphs of one order.
-
-    Takes the int64 route only under the overflow bound of the module
-    docstring, and the Python-integer recurrence per graph otherwise.
-    """
-    n = graphs[0].n
-    a = _adjacency_stack(graphs)
-    if n * 2**n * max(int(a.sum(axis=2).max()), 1) ** n >= _INT64_LIMIT:
-        return [_char_poly_exact(g) for g in graphs]
-    size = len(graphs)
+def _int64_char_polys(a: np.ndarray) -> list[tuple[int, ...]]:
+    """The recurrence on a stacked ``(k, n, n)`` int64 array, under the overflow bound."""
+    size, n = a.shape[:2]
     coeffs = np.zeros((size, n + 1), dtype=np.int64)
     traces = np.zeros((size, n + 1), dtype=np.int64)
     coeffs[:, 0] = 1
@@ -142,9 +130,66 @@ def _stacked_char_polys(graphs: list[Graph]) -> list[tuple[int, ...]]:
     # an inexact division is reported even if the steps after it went wrong
     if (traces[:, 2:] % np.arange(2, n + 1)).any():
         raise GraphEnergyError("characteristic polynomial recurrence lost exactness")
-    if n >= 2 and (coeffs[:, 2] != [-g.e for g in graphs]).any():
-        raise GraphEnergyError("characteristic polynomial failed the edge-count identity")
     return [tuple(c) for c in coeffs.tolist()]
+
+
+def _char_poly_residues(a: np.ndarray, primes: tuple[int, ...]) -> list[list[int]]:
+    """c_0..c_n modulo each prime, from the recurrence on a float64 ``(P, n, n)`` residue stack."""
+    n = a.shape[0]
+    size = len(primes)
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+    a = a.astype(np.float64)
+    m = np.repeat(a[None], size, axis=0)
+    coeffs = [[1, 0] for _ in primes]
+    for k in range(2, n + 1):
+        m.reshape(size, n * n)[:, :: n + 1] += [[c[-1]] for c in coeffs]
+        m = a @ m
+        m -= p * np.floor(m / p)
+        traces = m.reshape(size, n * n)[:, :: n + 1].sum(axis=1).tolist()
+        for c, q, t in zip(coeffs, primes, traces):
+            c.append(-int(t) * pow(k, -1, q) % q)
+    return coeffs
+
+
+def _modular_char_poly(a: np.ndarray, degree: int) -> tuple[int, ...]:
+    """The coefficients of one graph rebuilt by CRT from their residues modulo ``_PRIMES``.
+
+    Takes the fewest primes whose product exceeds 2 max_k C(n,k) D^k, and one
+    spare prime whose residues the rebuilt coefficients must match.
+    """
+    n = a.shape[0]
+    bound = 2 * max(math.comb(n, k) * degree**k for k in range(n + 1))
+    used = next(i for i in range(1, len(_PRIMES)) if math.prod(_PRIMES[:i]) > bound)
+    primes, spare = _PRIMES[:used], _PRIMES[used]
+    modulus = math.prod(primes)
+    weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    coeffs = []
+    for *column, check in zip(*_char_poly_residues(a, _PRIMES[: used + 1])):
+        c = sum(r * w for r, w in zip(column, weights)) % modulus
+        if c > modulus // 2:
+            c -= modulus
+        if (c - check) % spare:
+            raise GraphEnergyError("characteristic polynomial residues disagree with the spare prime")
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+def _stacked_char_polys(graphs: list[Graph]) -> list[tuple[int, ...]]:
+    """Exact characteristic polynomials of one chunk of graphs of one order.
+
+    Takes the int64 route only under the overflow bound of the module
+    docstring, and the modular route per graph otherwise.
+    """
+    n = graphs[0].n
+    a = _adjacency_stack(graphs)
+    degrees = np.maximum(a.sum(axis=2).max(axis=1), 1).tolist()
+    if n * 2**n * max(degrees) ** n >= _INT64_LIMIT:
+        polys = [_modular_char_poly(x, d) for x, d in zip(a, degrees)]
+    else:
+        polys = _int64_char_polys(a)
+    if n >= 2 and any(p[2] != -g.e for p, g in zip(polys, graphs)):
+        raise GraphEnergyError("characteristic polynomial failed the edge-count identity")
+    return polys
 
 
 def char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:

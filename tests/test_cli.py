@@ -311,6 +311,13 @@ class TestRank:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows == [["rank", "graph6", "energy", "charpoly_digest"]]
 
+    @pytest.mark.parametrize("top", ["-1", "many"])
+    def test_top_below_zero_is_usage_error(self, capsys, top):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "5", "6", "--top", top])
+        assert exc.value.code == 2
+        assert "--top" in capsys.readouterr().err
+
     def test_text_ties_name_the_tie_tolerance(self, capsys, monkeypatch):
         import graphenergy.cli as cli_mod
 

@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import random
 import re
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -82,24 +85,53 @@ class TestCharPoly:
             assert char_poly(u) == poly_mul(char_poly(g), char_poly(h))
 
 
-# every census class the checks rank or count, n <= 8, plus the largest one
+# every census class the checks rank or count, the 9,290 pinned graphs among
+# them; largest e first, so that a cold memo walks each order once
 _BATCH_CLASSES = sorted(
-    {(n, e) for n, e in PINNED if n <= 8}
-    | {(n, n + k) for n in range(4, 9) for k in (1, 2, 3) if n + k <= n * (n - 1) // 2}
-    | {(9, 12)}
+    set(PINNED)
+    | {(n, n + k) for n in range(4, 9) for k in (1, 2, 3) if n + k <= n * (n - 1) // 2},
+    reverse=True,
 )
 
 
-def _no_fallback(g):
+def char_poly_reference(g):
+    """The recurrence over Python integers, one graph at a time; exact at any order."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    # A is 0/1, so A*M reduces to summing neighbour rows.
+    m = [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    coeffs = [1, -sum(m[i][i] for i in range(n))]
+    for k in range(2, n + 1):
+        ck = coeffs[-1]
+        for i in range(n):
+            m[i][i] += ck
+        nxt = []
+        for i in range(n):
+            row = [0] * n
+            for u in nbrs[i]:
+                mu = m[u]
+                for j in range(n):
+                    row[j] += mu[j]
+            nxt.append(row)
+        m = nxt
+        tr = sum(m[i][i] for i in range(n))
+        assert tr % k == 0, "the recurrence lost exactness"
+        coeffs.append(-(tr // k))
+    return tuple(coeffs)
+
+
+def _no_fallback(a, degree):
     raise AssertionError("the int64 route was expected")
 
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
-    """Orders of the graphs that take the Python-integer recurrence."""
+    """Orders of the graphs that take the modular route."""
     calls = []
-    exact = spectral_mod._char_poly_exact
-    monkeypatch.setattr(spectral_mod, "_char_poly_exact", lambda g: calls.append(g.n) or exact(g))
+    modular = spectral_mod._modular_char_poly
+    monkeypatch.setattr(
+        spectral_mod, "_modular_char_poly", lambda a, d: calls.append(len(a)) or modular(a, d)
+    )
     return calls
 
 
@@ -117,33 +149,38 @@ class TestBatchedCharPoly:
     def test_int64_batch_equals_python_recurrence(self, n, e, monkeypatch):
         graphs = [graph6_decode(s) for s in enumerate_connected(n, e).graphs]
         assert graphs
-        want = [spectral_mod._char_poly_exact(g) for g in graphs]
-        monkeypatch.setattr(spectral_mod, "_char_poly_exact", _no_fallback)
+        want = [char_poly_reference(g) for g in graphs]
+        monkeypatch.setattr(spectral_mod, "_modular_char_poly", _no_fallback)
         got = char_polys(graphs)
         assert got == want
         assert all(type(c) is int for p in got for c in p)
 
     def test_guard_boundary_on_complete_graphs(self, fallback_calls):
         # K12: 12 * 2^12 * 11^12 < 2^62 stays on int64; K13 is past the bound
-        for n in (12, 13, 20):
+        for n in (12, 13, 20, 62):
             want = _poly_from_roots([n - 1] + [-1] * (n - 1))
             assert char_poly(make_complete(n)) == want
-        assert fallback_calls == [13, 20]
+        assert fallback_calls == [13, 20, 62]
+
+    def test_complete_bipartite_past_the_bound(self, fallback_calls):
+        # K31,31: eigenvalues 31 and -31 once, 0 sixty times
+        assert char_poly(family_graph("Kb 31 31")) == _poly_from_roots([31, -31] + [0] * 60)
+        assert fallback_calls == [62]
 
     def test_sparse_large_graphs_fall_back_and_match_sympy(self, fallback_calls):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(40)
         g40, g62 = _sparse_connected(rng, 40, 6), _sparse_connected(rng, 62, 4)
-        got = char_poly(g40)
-        assert char_poly(g62)[2] == -g62.e
+        got = [char_poly(g40), char_poly(g62)]
         assert fallback_calls == [40, 62]
         x = sympy.Symbol("x")
-        want = sympy.Matrix(g40.adjacency_matrix().astype(int)).charpoly(x).all_coeffs()
-        assert got == tuple(int(c) for c in want)
+        for g, p in zip((g40, g62), got):
+            want = sympy.Matrix(g.adjacency_matrix().astype(int)).charpoly(x).all_coeffs()
+            assert p == tuple(int(c) for c in want)
 
     def test_mixed_orders_in_input_order(self, fallback_calls):
         # 814 graphs cross several chunks of one order; the sparse n = 20 and
-        # n = 62 graphs take the Python-integer route in the same call
+        # n = 62 graphs take the modular route in the same call
         rng = random.Random(11)
         graphs = [graph6_decode(s) for s in enumerate_connected(8, 11).graphs]
         graphs += [make_complete(4), make_cycle(5)]
@@ -158,7 +195,7 @@ class TestBatchedCharPoly:
         assert char_polys([]) == [] and spectra([]) == []
 
     def test_polynomials_are_tuples_of_python_ints_on_both_routes(self, fallback_calls):
-        # a member of (9,12) takes the int64 stack, a 40-vertex graph the Python ints
+        # a member of (9,12) takes the int64 stack, a 40-vertex graph the modular route
         g9 = graph6_decode(enumerate_connected(9, 12).graphs[0])
         g40 = _sparse_connected(random.Random(3), 40, 5)
         for g in (g9, g40):
@@ -168,6 +205,60 @@ class TestBatchedCharPoly:
         assert set(fallback_calls) == {40}  # (9,12) stayed on int64
         p = closed_form_charpoly(9, 12)
         assert type(p) is tuple and all(type(c) is int for c in p)
+
+    def test_primes_are_prime_and_cover_order_62(self):
+        sympy = pytest.importorskip("sympy")
+        primes = spectral_mod._PRIMES
+        assert all(sympy.isprime(p) and 62 < p < 2**44 for p in primes)
+        # every coefficient of a 62-vertex graph fits below the product of all
+        # primes but the spare, with its sign
+        bound = 2 * max(math.comb(62, k) * 61**k for k in range(63))
+        assert math.prod(primes[:-1]) > bound
+
+    @pytest.mark.parametrize("prime", [0, -1])
+    def test_a_corrupted_residue_fails_closed(self, monkeypatch, prime):
+        # one residue of c_5, modulo a reconstruction prime or the spare, off by one
+        residues = spectral_mod._char_poly_residues
+
+        def corrupt(a, primes):
+            out = residues(a, primes)
+            out[prime][5] = (out[prime][5] + 1) % primes[prime]
+            return out
+
+        monkeypatch.setattr(spectral_mod, "_char_poly_residues", corrupt)
+        with pytest.raises(GraphEnergyError, match="spare prime"):
+            char_poly(make_complete(20))
+
+    def test_residues_agreeing_on_a_wrong_c2_fail_closed(self, monkeypatch):
+        # c_2 shifted by one modulo every prime: the spare agrees, c_2 = -e does not
+        residues = spectral_mod._char_poly_residues
+
+        def shifted(a, primes):
+            out = residues(a, primes)
+            for row, p in zip(out, primes):
+                row[2] = (row[2] + 1) % p
+            return out
+
+        monkeypatch.setattr(spectral_mod, "_char_poly_residues", shifted)
+        with pytest.raises(GraphEnergyError, match="edge-count identity"):
+            char_poly(make_complete(20))
+
+    def test_benchmark_sparse_graphs_and_k62_within_a_second(self):
+        # the 12 sparse graphs, n = 20..62, that the energy-report benchmark
+        # adds for seed 1, built by the benchmark's own generator
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+        spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+        reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference)
+        rng = random.Random(1)
+        graphs = [graph6_decode(reference.random_sparse_graph6(rng, 20 + round(i * 42 / 11)))
+                  for i in range(12)]
+        start = time.perf_counter()
+        got = char_polys(graphs + [make_complete(62)])
+        elapsed = time.perf_counter() - start
+        assert got[:-1] == [char_poly_reference(g) for g in graphs]
+        assert got[-1] == _poly_from_roots([61] + [-1] * 61)
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
 def _rand(rng, n, p=0.5):

@@ -15,7 +15,7 @@ from graphenergy import (
     make_wheel,
     rank_class,
 )
-import graphenergy.spectral as spectral_mod
+import graphenergy.census as census_mod
 import graphenergy.verify as verify_mod
 from graphenergy.census import PINNED, enumerate_connected
 from graphenergy.cli import render_json, render_text
@@ -27,6 +27,8 @@ from graphenergy.verify import (
     _digest_poly,
     run_checks,
 )
+
+from test_spectral import char_poly_reference
 
 
 class TestRankClass:
@@ -63,7 +65,7 @@ class TestRankClass:
         rows = []
         for s in enumerate_connected(8, 11).graphs:
             g = graph6_decode(s)
-            coeffs = spectral_mod._char_poly_exact(g)
+            coeffs = char_poly_reference(g)
             w = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
             rows.append((float(np.abs(w).sum()), s, _digest_poly(coeffs), coeffs))
         rows.sort(key=lambda r: (r[0], r[1]))
@@ -114,6 +116,19 @@ class TestRankClass:
 
 
 class TestChecks:
+    def test_theorem_checks_walk_each_order_once(self, monkeypatch):
+        # without the census check, one edge walk per order, towards the
+        # largest class any of the three ranks, fills every class they rank
+        walks = []
+        generate = census_mod._STRATEGIES["edge"]
+        monkeypatch.setitem(
+            census_mod._STRATEGIES, "edge", lambda n, e: walks.append((n, e)) or generate(n, e)
+        )
+        monkeypatch.setattr(census_mod, "_memo", {})
+        results = run_checks(["bicyclic", "tricyclic", "tetracyclic"])
+        assert all(result.passed for result in results)
+        assert sorted(walks) == [(4, 6), (5, 8), (6, 9), (7, 10), (8, 11), (9, 12)]
+
     def test_closed_forms_pass(self):
         [result] = run_checks(["closed-forms"])
         assert result.passed
