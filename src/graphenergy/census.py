@@ -21,8 +21,15 @@ Two independent generation strategies back every census:
   time, deduplicating each level by canonical form from the refinement-based
   labeller. Neighbourhoods in one orbit of the automorphisms the labeller
   found for the parent give isomorphic children, so one per orbit is
-  canonicalised (McKay's isomorph rejection). Shares no isomorphism
-  machinery with the orderly path.
+  canonicalised (McKay's isomorph rejection). Before that search, a child
+  is kept only when no non-cut vertex has a lower degree than its new
+  vertex (McKay's canonical deletion, as a cheap necessary test). No class
+  is lost: a connected H on k + 1 vertices has a non-cut vertex; take v,
+  one of minimum degree. H - v is connected, with at most e - (n - k)
+  edges, so level k holds it. The orbit representative that yields H maps
+  the new vertex onto an image of v, and "non-cut vertex of minimum degree"
+  does not depend on the labelling, so that child passes. Shares no
+  isomorphism machinery with the orderly path.
 
 The tests also match every class with n <= 7 one-to-one against the connected
 graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
@@ -48,7 +55,7 @@ from pathlib import Path
 from .canon import _canonical_rows_autos, canonical_g6
 from .errors import CacheMissError, CorruptCacheError, Graph6ParseError, ScaleError
 from .graph6 import encode_rows, graph6_decode
-from .graphs import Graph, bit_indices, dsu_find
+from .graphs import Graph, bit_indices, dsu_find, reach
 
 GENERATOR_VERSION = "graphenergy-census/1"
 
@@ -211,6 +218,23 @@ def _generate_orderly(n: int, e: int) -> dict[tuple[int, int], list[str]]:
     return out
 
 
+def _last_is_min_non_cut(rows) -> bool:
+    """True iff no non-cut vertex has a lower degree than the last vertex.
+
+    The vertex walk's canonical-deletion filter (see the module docstring):
+    only a vertex of lower degree needs the reachability test.
+    """
+    k = len(rows) - 1
+    d = rows[k].bit_count()
+    full = (1 << len(rows)) - 1
+    for u in range(k):
+        if rows[u].bit_count() < d:
+            rest = full & ~(1 << u)
+            if reach(rows, 1 << k, rest) == rest:
+                return False
+    return True
+
+
 def _vertex_levels(n: int, e: int):
     """Each level of vertex augmentation towards (n, e), from one vertex up.
 
@@ -218,7 +242,9 @@ def _vertex_levels(n: int, e: int):
     count and generators of its automorphism group, written in the canonical
     labelling. Neighbourhood subsets in one orbit of that
     group give isomorphic children, so only one per orbit is canonicalised
-    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998),
+    and only if it passes the canonical-deletion filter; the level dict
+    still does the deduplication.
     """
     level: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {(0,): (0, ())}
     yield level
@@ -257,6 +283,8 @@ def _vertex_levels(n: int, e: int):
                         for v, row in enumerate(adj)
                     ]
                     rows.append(mask)
+                    if not _last_is_min_non_cut(rows):
+                        continue
                     child, child_gens = _canonical_rows_autos(k + 1, rows)
                     if child not in nxt:
                         # the last level is never augmented: keep no generators

@@ -44,6 +44,21 @@ def relabel_rows(nbrs, perm) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def reach(rows, start: int, allowed: int) -> int:
+    """Bitset of the vertices reachable from bitset ``start`` through ``allowed``.
+
+    ``rows`` are neighbour bitsets; the walk enters only vertices in ``allowed``.
+    """
+    seen = frontier = start
+    while frontier:
+        grow = 0
+        for v in bit_indices(frontier):
+            grow |= rows[v]
+        frontier = grow & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
 def dsu_find(parent: list[int], x: int) -> int:
     """Root of ``x`` in a union-find ``parent`` list, halving the path walked."""
     while parent[x] != x:
@@ -136,15 +151,8 @@ class Graph:
         comps = []
         full = (1 << self.n) - 1
         while seen != full:
-            start = ((~seen) & full) & -((~seen) & full)
-            comp = start
-            frontier = start
-            while frontier:
-                grow = 0
-                for v in bit_indices(frontier):
-                    grow |= self.adj[v]
-                frontier = grow & ~comp
-                comp |= grow
+            free = full & ~seen
+            comp = reach(self.adj, free & -free, full)
             comps.append(comp)
             seen |= comp
         return comps

@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphenergy import (
@@ -227,6 +227,92 @@ def test_planted_non_automorphism_loses_classes(monkeypatch):
     )
     strings = _generate_vertex_aug(7, 10)[7, 10]
     assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
+
+
+def test_deletion_filter_cuts_the_canonical_searches(monkeypatch):
+    # orbit pruning alone canonicalised 37,338 children on the walk towards
+    # (9,12); the canonical-deletion filter leaves 11,175 of them
+    real = census_module._canonical_rows_autos
+    calls = []
+
+    def counted(n, rows):
+        calls.append(n)
+        return real(n, rows)
+
+    monkeypatch.setattr(census_module, "_canonical_rows_autos", counted)
+    strings = _generate_vertex_aug(9, 12)[9, 12]
+    assert len(calls) == 11_175
+    assert (len(strings), census_digest(sorted(strings))) == PINNED_CENSUSES[(9, 12)]
+
+
+def test_planted_filter_that_rejects_ties_loses_classes(monkeypatch):
+    # the filter may reject a child only for a non-cut vertex of strictly
+    # lower degree: rejecting ties too drops the new vertex whenever an
+    # older one matches it, and the census loses members (all 132 of (7,10))
+    reach = census_module.reach
+
+    def planted(rows):
+        k = len(rows) - 1
+        full = (1 << len(rows)) - 1
+        for u in range(k):
+            if rows[u].bit_count() <= rows[k].bit_count():
+                rest = full & ~(1 << u)
+                if reach(rows, 1 << k, rest) == rest:
+                    return False
+        return True
+
+    monkeypatch.setattr(census_module, "_last_is_min_non_cut", planted)
+    strings = _generate_vertex_aug(7, 10)[7, 10]
+    assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
+
+
+@st.composite
+def _connected_rows(draw):
+    """Rows of a connected graph on 1..9 vertices: a random tree plus extra edges."""
+    n = draw(st.integers(1, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+# two K4s, each joined to vertex 4: its degree, 2, is the lowest, but it is a
+# cut vertex, so it must not reject a degree-3 vertex of either K4
+_TWO_K4_ON_A_CUT_VERTEX = [
+    0b0000_1110, 0b0000_1101, 0b0000_1011, 0b0001_0111, 0b0010_1000,
+    0b1_1101_0000, 0b1_1010_0000, 0b1_0110_0000, 0b0_1110_0000,
+]
+
+
+@given(_connected_rows())
+@example(_TWO_K4_ON_A_CUT_VERTEX)
+@settings(max_examples=200, deadline=None)
+def test_deletion_filter_keeps_every_min_degree_non_cut_vertex(rows):
+    # the soundness lemma, apart from the walk and with no canonical search:
+    # with v relabelled last, a non-cut v passes the filter exactly when no
+    # other non-cut vertex has lower degree, and some non-cut v passes.
+    # networkx's articulation points stand in for the filter's reachability.
+    nx = pytest.importorskip("networkx")
+    n = len(rows)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((u, v) for u in range(n) for v in bit_indices(rows[u]))
+    non_cut = set(range(n)) - set(nx.articulation_points(h))
+    low = min(rows[v].bit_count() for v in non_cut)
+    nbrs = [bit_indices(r) for r in rows]
+    kept = set()
+    for v in range(n):
+        perm = [w - (w > v) for w in range(n)]
+        perm[v] = n - 1
+        if census_module._last_is_min_non_cut(relabel_rows(nbrs, perm)):
+            kept.add(v)
+    assert kept & non_cut == {v for v in non_cut if rows[v].bit_count() == low}
+    assert kept & non_cut
 
 
 def test_census_matches_graph_atlas():
