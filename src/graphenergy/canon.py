@@ -87,13 +87,14 @@ def _individualize(colors: list[int], v: int) -> list[int]:
     return out
 
 
-def _canonical_search(nbrs: list[list[int]], n: int):
-    """Return (cert, perm, autos, group_order) over the refinement tree.
+def _canonical_search(rows, n: int):
+    """Return (cert, perm, autos, group_order) over the refinement tree of adjacency ``rows``.
 
     ``cert`` is the least relabelled adjacency over all leaves and ``perm``
     the first leaf giving it (vertex v goes to ``perm[v]``); ``autos``
     generate the automorphism group, of order ``group_order``.
     """
+    nbrs = [bit_indices(row) for row in rows]
     first: list = []  # cert, perm of the first leaf
     best: list = []
     autos: list[tuple[int, ...]] = []
@@ -150,8 +151,7 @@ def _canonical_rows_autos(n: int, rows) -> tuple[tuple[int, ...], tuple[tuple[in
     ``s`` of the input becomes ``t`` with ``t[perm[v]] = perm[s[v]]``, so no
     second search runs.
     """
-    nbrs = [bit_indices(row) for row in rows]
-    cert, perm, autos, _ = _canonical_search(nbrs, n)
+    cert, perm, autos, _ = _canonical_search(rows, n)
     gens = []
     for s in autos:
         t = [0] * n
@@ -163,7 +163,7 @@ def _canonical_rows_autos(n: int, rows) -> tuple[tuple[int, ...], tuple[tuple[in
 
 def canonical_rows(n: int, rows) -> tuple[int, ...]:
     """Adjacency rows of the canonical image; raw-row fast path."""
-    return _canonical_rows_autos(n, rows)[0]
+    return _canonical_search(rows, n)[0]
 
 
 def canonical_g6(n: int, rows) -> str:
@@ -172,8 +172,7 @@ def canonical_g6(n: int, rows) -> str:
 
 def canonicalize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Canonical image of ``g`` and the relabelling that produces it."""
-    nbrs = [bit_indices(row) for row in g.adj]
-    cert, perm, _, _ = _canonical_search(nbrs, g.n)
+    cert, perm, _, _ = _canonical_search(g.adj, g.n)
     return Graph(g.n, cert), perm
 
 
@@ -184,4 +183,4 @@ def canonical_label(g: Graph) -> str:
 
 def aut_order(g: Graph) -> int:
     """Exact automorphism-group order, by orbit-stabiliser along the first path."""
-    return _canonical_search([bit_indices(row) for row in g.adj], g.n)[3]
+    return _canonical_search(g.adj, g.n)[3]

@@ -20,7 +20,7 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import NotAnEdgeError, ScaleError
+from .errors import ScaleError
 from .graphs import Edge, Graph, delete_edges
 
 MAX_CLASSIFY_VERTICES = 12
@@ -203,10 +203,5 @@ def bridges(g: Graph) -> list[Edge]:
 
 def is_edge_cut(g: Graph, edges) -> bool:
     """True iff deleting ``edges`` increases the number of components."""
-    edges = list(edges)
-    for u, v in edges:
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise NotAnEdgeError(f"({u},{v}) is not an edge of the graph")
-    if not edges:
-        return False
+    # delete_edges raises NotAnEdgeError for a non-edge, and for an edge given twice
     return delete_edges(g, edges).component_count() > g.component_count()

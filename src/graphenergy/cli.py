@@ -184,12 +184,9 @@ def _cmd_energy(args) -> int:
             # stream with no bytes under it is read as text)
             data = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
-            try:
-                with open(args.input, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                print(f"graphenergy: {exc}", file=sys.stderr)
-                return _EXIT_IO
+            # an OSError reaches main, which reports it with exit 3
+            with open(args.input, "rb") as fh:
+                data = fh.read()
         if isinstance(data, bytes):
             data = data.decode("utf-8", "surrogateescape")
         for lineno, raw in enumerate(data.splitlines(), start=1):

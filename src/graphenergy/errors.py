@@ -52,7 +52,7 @@ class CorruptCacheError(GraphEnergyError, RuntimeError):
 
 
 class QuadratureAccuracyError(GraphEnergyError, ArithmeticError):
-    """Adaptive quadrature ran out of budget before reaching tolerance.
+    """Adaptive quadrature reached its panel limit before reaching tolerance.
 
     Carries the best estimate reached and the achieved error bound.
     """

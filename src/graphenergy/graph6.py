@@ -50,9 +50,7 @@ def graph6_decode(text: str) -> Graph:
         )
     if not 63 <= head <= 125:
         raise Graph6ParseError(f"invalid size character {s[0]!r}", 0)
-    n = head - 63
-    if n > MAX_VERTICES:
-        raise ScaleError(f"graph6 order {n} exceeds the {MAX_VERTICES}-vertex limit")
+    n = head - 63  # head <= 125, so n <= 62 = MAX_VERTICES
     if n == 0:
         raise Graph6ParseError("graph6 order 0 not representable", 0)
     nbits = n * (n - 1) // 2

@@ -43,7 +43,8 @@ residual |p(lambda)| of every eigenvalue. ``energy_coulsons`` integrates the
 classical contour formula from the exact coefficients and serves as the
 independent oracle: nothing the eigensolver computes reaches it. It runs one
 masked Gauss-Kronrod pass per chunk of polynomials whose squared modulus has
-one degree; ``energy_coulson`` is a batch of one.
+one degree, each integral refining until it meets the tolerance or passes
+``_MAX_PANELS`` panels; ``energy_coulson`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -174,27 +175,27 @@ def _modular_char_poly(a: np.ndarray, degree: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _stacked_char_polys(graphs: list[Graph]) -> list[tuple[int, ...]]:
-    """Exact characteristic polynomials of one chunk of graphs of one order.
+def _stacked_char_polys(a: np.ndarray) -> list[tuple[int, ...]]:
+    """Exact characteristic polynomials of one ``(k, n, n)`` adjacency stack.
 
     Takes the int64 route only under the overflow bound of the module
     docstring, and the modular route per graph otherwise.
     """
-    n = graphs[0].n
-    a = _adjacency_stack(graphs)
-    degrees = np.maximum(a.sum(axis=2).max(axis=1), 1).tolist()
+    n = a.shape[1]
+    degree = a.sum(axis=2)
+    degrees = np.maximum(degree.max(axis=1), 1).tolist()
     if n * 2**n * max(degrees) ** n >= _INT64_LIMIT:
         polys = [_modular_char_poly(x, d) for x, d in zip(a, degrees)]
     else:
         polys = _int64_char_polys(a)
-    if n >= 2 and any(p[2] != -g.e for p, g in zip(polys, graphs)):
+    if n >= 2 and any(p[2] != -e for p, e in zip(polys, (degree.sum(axis=1) // 2).tolist())):
         raise GraphEnergyError("characteristic polynomial failed the edge-count identity")
     return polys
 
 
 def char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     """Exact characteristic polynomials of graphs of any orders, in input order."""
-    return _batched(_stacked_char_polys, graphs, _order)
+    return _batched(lambda chunk: _stacked_char_polys(_adjacency_stack(chunk)), graphs, _order)
 
 
 def char_poly(g: Graph) -> tuple[int, ...]:
@@ -226,8 +227,9 @@ def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
     it does for a wrong polynomial.
     """
     n = graphs[0].n
-    polys = _stacked_char_polys(graphs)
-    w = np.linalg.eigvalsh(_adjacency_stack(graphs).astype(np.float64))[:, ::-1]
+    a = _adjacency_stack(graphs)
+    polys = _stacked_char_polys(a)
+    w = np.linalg.eigvalsh(a.astype(np.float64))[:, ::-1]
     e = np.array([g.e for g in graphs], dtype=np.float64)
     if (np.abs(w.sum(axis=1)) > 1e-9 * n).any():
         raise GraphEnergyError("eigenvalue sum violates trace-zero bound")
@@ -325,6 +327,10 @@ _WG = np.zeros(15)
 for _i, _w in _GAUSS_W.items():
     _WG[_i] = _w
     _WG[14 - _i] = _w
+# The one work limit of the quadrature: an integral stops refining once it has
+# more than this many panels, so it ends with at most 5,000 (each round splits
+# a quarter of them) and at most 15 * (2 * 5,000 - 1) evaluations.
+_MAX_PANELS = 4000
 
 
 def _abs2_coeffs(p: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -376,33 +382,33 @@ def _gk15(f, coeffs: np.ndarray, gid: np.ndarray, a: np.ndarray, b: np.ndarray):
     return k, np.abs(k - (ys * _WG).sum(axis=1) * half)
 
 
-def _adaptive_gk15(f, coeffs: np.ndarray, tol: float, budget: np.ndarray):
+def _adaptive_gk15(f, coeffs: np.ndarray, tol: float):
     """Globally adaptive Gauss-Kronrod 15(7) on [0, 1] for every row of ``coeffs`` at once.
 
     Row g refines on its own: each round it splits the quarter of its panels
-    with the largest errors while its summed error exceeds ``tol``,
-    ``budget[g]`` (decremented in place by its evaluations) is positive and
-    it has at most 4,000 panels. Each row's panels stay in the order a
+    with the largest errors while its summed error exceeds ``tol`` and it has
+    at most ``_MAX_PANELS`` panels. Each row's panels stay in the order a
     batch of one keeps them, so ``np.bincount`` adds them up in that order.
-    Returns per-row (estimates, error bounds); best-effort.
+    Returns per-row (estimates, error bounds, evaluations); best-effort.
     """
     rows = len(coeffs)
     gid = np.arange(rows)
     a, b = np.zeros(rows), np.ones(rows)
     pan = np.column_stack((a, b, *_gk15(f, coeffs, gid, a, b)))  # lo, hi, estimate, error
-    budget -= _NODES.size
-    value, bound = np.empty(rows), np.empty(rows)
+    value, bound, panels = np.empty(rows), np.empty(rows), np.empty(rows, dtype=np.int64)
     while True:
         count = np.bincount(gid, minlength=rows)
         total = np.bincount(gid, pan[:, 3], minlength=rows)
-        done = (count > 0) & ((total <= tol) | (budget <= 0) | (count > 4000))
+        done = (count > 0) & ((total <= tol) | (count > _MAX_PANELS))
         if done.any():
             value[done] = np.bincount(gid, pan[:, 2], minlength=rows)[done]
             bound[done] = total[done]
+            panels[done] = count[done]
             live = ~done[gid]
             gid, pan = gid[live], pan[live]
             if not gid.size:
-                return value.tolist(), bound.tolist()
+                # c panels took the first one and c - 1 splits into two halves
+                return value.tolist(), bound.tolist(), (_NODES.size * (2 * panels - 1)).tolist()
             count[done] = 0
         # by row, then by error descending; stable, as a batch of one sorts
         order = np.lexsort((-pan[:, 3], gid))
@@ -414,50 +420,45 @@ def _adaptive_gk15(f, coeffs: np.ndarray, tol: float, budget: np.ndarray):
         mid = 0.5 * (lo + hi)
         hgid = np.repeat(gid[split], 2)
         ha, hb = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-        budget -= _NODES.size * np.bincount(hgid, minlength=rows)
         halves = np.column_stack((ha, hb, *_gk15(f, coeffs, hgid, ha, hb)))
         gid, pan = np.concatenate((gid[~split], hgid)), np.concatenate((pan[~split], halves))
 
 
-def _stacked_coulson(
-    items: list[tuple[int, list[int]]], tol: float, max_evals: int
-) -> list[CoulsonEnergy]:
+def _stacked_coulson(items: list[tuple[int, list[int]]], tol: float) -> list[CoulsonEnergy]:
     """Coulson energies of one chunk of polynomials whose D has one degree."""
     deg = len(items[0][1]) - 1
     if deg == 0:
         return [CoulsonEnergy(0.0, 0.0, 0)] * len(items)
     d = np.array([[float(x) for x in di] for _, di in items])
-    budget = np.full(len(items), max_evals, dtype=np.int64)
     tol_each = tol * math.pi / 2.0
     # T(y) = (D(y) - 1) / y, highest power first: d_deg .. d_1
-    i1, e1 = _adaptive_gk15(_log_d_over_x2, d[:, :0:-1], tol_each, budget)
+    i1, e1, n1 = _adaptive_gk15(_log_d_over_x2, d[:, :0:-1], tol_each)
     # S(v) = reversed D with the zero-root factor v^m removed: d_0 .. d_deg
-    i2, e2 = _adaptive_gk15(_log_s, d, tol_each, budget)
+    i2, e2, n2 = _adaptive_gk15(_log_s, d, tol_each)
     # pi * E = I1 + I2 + 2n - 2m, m = n - deg the multiplicity of eigenvalue 0
     return [
         CoulsonEnergy((i1[g] + i2[g] + 2 * n - 2 * (n - deg)) / math.pi,
-                      (e1[g] + e2[g]) / math.pi, max_evals - int(budget[g]))
+                      (e1[g] + e2[g]) / math.pi, n1[g] + n2[g])
         for g, (n, _) in enumerate(items)
     ]
 
 
-def energy_coulsons(
-    polys: Sequence[tuple[int, ...]], *, tol: float = 1e-7, max_evals: int = 1_000_000
-) -> list[CoulsonEnergy]:
+def energy_coulsons(polys: Sequence[tuple[int, ...]], *, tol: float = 1e-7) -> list[CoulsonEnergy]:
     """Graph energies from the contour-integral formula, with error bounds, in input order.
 
     One masked Gauss-Kronrod pass runs per chunk of at most ``_CHUNK``
     polynomials whose D has one degree; each polynomial keeps its own
-    refinement, ``max_evals`` budget and bound, so a batch gives bit for bit
-    what each polynomial gives alone. Raises :class:`QuadratureAccuracyError`
-    for the first polynomial, in input order, that misses ``tol`` within its
-    budget, carrying that polynomial's best estimate, and ``ValueError`` when
-    ``tol`` is not finite and positive.
+    refinement and bound, so a batch gives bit for bit what each polynomial
+    gives alone. Each integral stops refining past ``_MAX_PANELS`` panels.
+    Raises :class:`QuadratureAccuracyError` for the first polynomial, in
+    input order, that misses ``tol`` within that limit, carrying that
+    polynomial's best estimate, and ``ValueError`` when ``tol`` is not finite
+    and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     results = _batched(
-        lambda chunk: _stacked_coulson(chunk, tol, max_evals),
+        lambda chunk: _stacked_coulson(chunk, tol),
         [_abs2_coeffs(p) for p in polys],
         lambda item: len(item[1]),
     )
@@ -472,8 +473,6 @@ def energy_coulsons(
     return results
 
 
-def energy_coulson(
-    p: tuple[int, ...], *, tol: float = 1e-7, max_evals: int = 1_000_000
-) -> CoulsonEnergy:
+def energy_coulson(p: tuple[int, ...], *, tol: float = 1e-7) -> CoulsonEnergy:
     """Graph energy from the contour-integral formula, with an error bound; a batch of one."""
-    return energy_coulsons([p], tol=tol, max_evals=max_evals)[0]
+    return energy_coulsons([p], tol=tol)[0]

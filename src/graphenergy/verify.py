@@ -42,6 +42,7 @@ from .canon import canonical_g6
 ENERGY_TIE_TOL = 1e-8
 DUAL_ENERGY_TOL = 1e-6
 DUAL_ENERGY_CLASSES = ((4, 4), (5, 6), (6, 8), (7, 10))
+INEQUALITY_MARGIN = 1e-9  # a family inequality holds only by more than this
 
 # The census check's one vertex walk. Each vertex still to come needs an
 # edge, so its level k < 9 holds every connected k-vertex graph with at most
@@ -190,8 +191,8 @@ def _theorem_check(ctx: CheckContext, excess: int) -> list[dict]:
 
 
 def _ineq(evidence: list, label: str, n: int, lhs_name: str, lhs: float,
-          rel: str, rhs_name: str, rhs: float, margin_floor: float = 1e-9):
-    ok = lhs < rhs - margin_floor if rel == "<" else lhs > rhs + margin_floor
+          rel: str, rhs_name: str, rhs: float):
+    ok = lhs < rhs - INEQUALITY_MARGIN if rel == "<" else lhs > rhs + INEQUALITY_MARGIN
     evidence.append(
         {
             "item": label,
@@ -243,7 +244,7 @@ def check_family_inequalities(ctx: CheckContext) -> list[dict]:
         # star-versus-bipartite regimes at e = n+1, n+2, n+3; the e = n+3 rows are
         # the paper's tetracyclic crossover at n = 12 (B below S up to n = 11)
         for e in (n + 1, n + 2, n + 3):
-            if e > 2 * n - 3 or e > 2 * (n - 2):
+            if e > 2 * (n - 2):
                 continue
             es, eb = energy_of(make_s_graph(n, e)), energy_of(make_b_graph(n, e))
             if e <= 1.5 * n - 3:

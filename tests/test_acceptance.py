@@ -11,17 +11,14 @@ from contextlib import contextmanager
 
 from graphenergy import (
     Graph,
-    b_coeffs,
     canonical_label,
     char_poly,
-    closed_form_charpoly,
     disjoint_union,
     energy,
     energy_coulsons,
     enumerate_connected,
     family_graph,
     graph6_decode,
-    make_s_graph,
     poly_mul,
     spectra,
 )
@@ -118,15 +115,12 @@ def test_criterion_5_tetracyclic_theorem(monkeypatch):
 
 def test_criterion_6_closed_forms_exact():
     with criterion(6, "closed-form polynomials exact for n = 6..12"):
-        for n in range(6, 13):
-            for e_off in (0, 2, 3):
-                e = n + e_off
-                assert (
-                    char_poly(make_s_graph(n, e)) == closed_form_charpoly(n, e)
-                ), f"S({n},{e})"
-            b4 = b_coeffs(char_poly(make_s_graph(n, n + 3)))[4]
-            assert b4 == 4 * n - 24
-            assert b4 != 4 * n - 18
+        [result] = run_checks(["closed-forms"])
+        assert result.passed, result.failures()
+        # S(n, n), S(n, n + 2), S(n, n + 3) and the b4 of S(n, n + 3), n = 6..12
+        items = [row["item"] for row in result.evidence]
+        assert items.count("closed-form") == 21 and items.count("b4-correction") == 7
+        assert len(items) == 28
 
 
 def test_criterion_7_inequality_suite():

@@ -274,6 +274,12 @@ class TestEdgeCut:
         with pytest.raises(NotAnEdgeError):
             is_edge_cut(make_cycle(4), [(0, 2)])
 
+    def test_duplicated_edge_rejected(self):
+        # the second deletion of an edge finds no edge
+        for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
+            with pytest.raises(NotAnEdgeError):
+                is_edge_cut(make_cycle(4), edges)
+
     def test_empty_set_is_not_a_cut(self):
         assert not is_edge_cut(make_cycle(4), [])
 

@@ -360,11 +360,30 @@ class TestCoulson:
         assert est.value == 0.0
         assert est.error_bound == 0.0
 
-    def test_budget_exhaustion_carries_estimate(self):
+    def test_budget_exhaustion_carries_estimate(self, monkeypatch):
+        # one round of refinement: each integral stops at two panels
+        monkeypatch.setattr(spectral_mod, "_MAX_PANELS", 1)
         with pytest.raises(QuadratureAccuracyError) as err:
-            energy_coulson(char_poly(make_complete(4)), tol=1e-13, max_evals=30)
+            energy_coulson(char_poly(make_complete(4)), tol=1e-13)
         assert err.value.estimate == pytest.approx(6.0, abs=1e-2)
         assert err.value.error_bound > 0
+
+    def test_evaluation_counts_are_pinned(self):
+        # an integral that ends with c panels evaluated the first one and c - 1
+        # splits into two halves, at 15 nodes each: 15 * (2c - 1)
+        want = {"K 2": 30, "K 4": 60, "C 5": 60, "S 9 12": 90, "K 62": 210}
+        for fam, evals in want.items():
+            assert energy_coulson(char_poly(family_graph(fam))).evaluations == evals, fam
+        # a row past _MAX_PANELS stops; a round splits a quarter of its panels,
+        # so it ends with at most 5,000: 149,985 evaluations per integral
+        cap = spectral_mod._MAX_PANELS
+        ceiling = 2 * spectral_mod._NODES.size * (2 * (cap + cap // 4) - 1)
+        assert ceiling == 299_970
+        # no tolerance is reachable here: both integrals stop at the panel limit
+        with pytest.raises(QuadratureAccuracyError) as err:
+            energy_coulson(char_poly(family_graph("K 62")), tol=1e-300)
+        evals = int(re.search(r"after (\d+) evaluations", str(err.value)).group(1))
+        assert evals == 254_430 <= ceiling
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -407,14 +426,15 @@ class TestCoulson:
         assert energy_coulsons(polys[::-1]) == energy_coulsons(polys)[::-1]
         assert energy_coulsons([]) == []
 
-    def test_batch_error_names_the_first_failing_polynomial(self):
-        # K2 meets 1e-10 within 60 evaluations; K4 and C5 do not
+    def test_batch_error_names_the_first_failing_polynomial(self, monkeypatch):
+        # with two panels per integral K2 and C5 meet 1e-10; K4 does not
+        monkeypatch.setattr(spectral_mod, "_MAX_PANELS", 1)
         polys = [char_poly(g) for g in (make_complete(2), make_complete(4), make_cycle(5))]
-        energy_coulsons(polys[:1], tol=1e-10, max_evals=60)
+        energy_coulsons(polys[::2], tol=1e-10)
         with pytest.raises(QuadratureAccuracyError) as alone:
-            energy_coulson(polys[1], tol=1e-10, max_evals=60)
+            energy_coulson(polys[1], tol=1e-10)
         with pytest.raises(QuadratureAccuracyError) as err:
-            energy_coulsons(polys, tol=1e-10, max_evals=60)
+            energy_coulsons(polys, tol=1e-10)
         assert err.value.estimate == alone.value.estimate == pytest.approx(6.0, abs=1e-3)
         assert err.value.error_bound == alone.value.error_bound > 1e-10
 
@@ -453,23 +473,6 @@ class TestClosedForms:
             closed_form_charpoly(5, 5)  # n too small
         with pytest.raises(InvalidFamilyError, match=re.escape("no closed form for S(8,9)")):
             closed_form_charpoly(8, 9)  # e = n+1 not covered
-
-
-def test_reference_energy_table():
-    table = {
-        "K 4": 6.0,
-        "S 4 4": 4.96239,
-        "B 7 9": 7.21110,
-        "S 7 7": 6.64681,
-        "B 8 10": 7.91375,
-        "S 8 8": 7.07326,
-        "B 9 11": 8.46834,
-        "S 9 9": 7.46410,
-        "S 5 7": 6.0,
-        "S 5 5": 5.62721,
-    }
-    for fam, want in table.items():
-        assert energy(family_graph(fam)) == pytest.approx(want, abs=1e-5), fam
 
 
 def test_energy_of_wheel_against_charpoly_roots():
