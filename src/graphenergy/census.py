@@ -2,11 +2,12 @@
 
 Two independent generation strategies back every census:
 
-* ``edge`` (default): orderly generation. Graphs are grown one edge at a
-  time in a fixed column-major pair order; a child is kept only when its
-  labelled adjacency code is maximal over all relabellings, and removing the
-  last set bit of a maximal code provably yields a maximal code again, so
-  every isomorphism class is produced exactly once with no stored dedup.
+* ``edge``: orderly generation, the independent oracle that the tests hold
+  the default against. Graphs are grown one edge at a time in a fixed
+  column-major pair order; a child is kept only when its labelled adjacency
+  code is maximal over all relabellings, and removing the last set bit of a
+  maximal code provably yields a maximal code again, so every isomorphism
+  class is produced exactly once with no stored dedup.
   A walk towards (n, e) emits every connected graph it passes, so it fills
   every class (n, m <= e) at once. The max-code test (Read, 1978) is one
   walk that places a relabelling one vertex at a time, and whose first
@@ -17,19 +18,22 @@ Two independent generation strategies back every census:
   sound: an automorphism that fixes the prefix and maps d to w maps the
   explored subtree of d onto that of w code for code, and in DFS order
   every automorphism found so far fixes the current identity prefix.
-* ``vertex``: grow connected graphs one vertex (plus its neighbourhood) at a
-  time, deduplicating each level by canonical form from the refinement-based
-  labeller. Neighbourhoods in one orbit of the automorphisms the labeller
-  found for the parent give isomorphic children, so one per orbit is
-  canonicalised (McKay's isomorph rejection). Before that search, a child
-  is kept only when no non-cut vertex has a lower degree than its new
-  vertex (McKay's canonical deletion, as a cheap necessary test). No class
-  is lost: a connected H on k + 1 vertices has a non-cut vertex; take v,
-  one of minimum degree. H - v is connected, with at most e - (n - k)
-  edges, so level k holds it. The orbit representative that yields H maps
-  the new vertex onto an image of v, and "non-cut vertex of minimum degree"
-  does not depend on the labelling, so that child passes. Shares no
-  isomorphism machinery with the orderly path.
+* ``vertex`` (default): grow connected graphs one vertex (plus its
+  neighbourhood) at a time, deduplicating each level by canonical form from
+  the refinement-based labeller. Neighbourhoods in one orbit of the
+  automorphisms the labeller found for the parent give isomorphic children,
+  so one per orbit is canonicalised (McKay's isomorph rejection). Before
+  that search, a child is kept only when no non-cut vertex has a lower
+  degree than its new vertex (McKay's canonical deletion, as a cheap
+  necessary test). No class is lost: a connected H on k + 1 vertices has a
+  non-cut vertex; take v, one of minimum degree. H - v is connected, with
+  at most e - (n - k) edges, so level k holds it. The orbit representative
+  that yields H maps the new vertex onto an image of v, and "non-cut vertex
+  of minimum degree" does not depend on the labelling, so that child
+  passes. The last level takes every neighbourhood size that keeps the
+  edge count within e, so a walk towards (n, e), like an edge walk, fills
+  every class (n, m <= e). Shares no isomorphism machinery with the orderly
+  path.
 
 The tests also match every class with n <= 7 one-to-one against the connected
 graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
@@ -254,12 +258,7 @@ def _vertex_levels(n: int, e: int):
         for adj in sorted(level):
             m, gens = level[adj]
             images = [[1 << g[v] for v in range(k)] for g in gens]
-            cap = e - m - remaining_after
-            if remaining_after == 0:
-                sizes: range | list[int] = [cap] if 1 <= cap <= k else []
-            else:
-                sizes = range(1, min(k, cap) + 1)
-            for size in sizes:
+            for size in range(1, min(k, e - m - remaining_after) + 1):
                 seen: set[int] = set()
                 for subset in itertools.combinations(range(k), size):
                     mask = 0
@@ -294,12 +293,12 @@ def _vertex_levels(n: int, e: int):
 
 
 def _generate_vertex_aug(n: int, e: int) -> dict[tuple[int, int], list[str]]:
-    """(n, e) plus every class a level k < n holds, as canonical graph6.
+    """Every class (n, m <= e) and every class a level k < n holds, as canonical graph6.
 
     Each is complete: every vertex still to come needs an edge, so level k < n
     holds every connected k-vertex graph with at most e - (n - k) edges.
     """
-    out: dict[tuple[int, int], list[str]] = {(n, e): []}
+    out: dict[tuple[int, int], list[str]] = {(n, m): [] for m in range(e + 1)}
     for k, level in enumerate(_vertex_levels(n, e), 1):
         for rows, (m, _) in level.items():
             out.setdefault((k, m), []).append(encode_rows(k, rows))
@@ -324,12 +323,12 @@ def _check_envelope(n: int, e: int) -> None:
 _memo: dict[tuple[int, int, str], GraphClassCensus] = {}
 
 
-def enumerate_connected(n: int, e: int, *, strategy: str = "edge") -> GraphClassCensus:
+def enumerate_connected(n: int, e: int, *, strategy: str = "vertex") -> GraphClassCensus:
     """Census of connected (n,e)-graphs, one canonical representative each.
 
     Supported envelope: n <= 10 and e <= n + 3. Larger requests fail loudly
     rather than truncating. Both strategies walk towards (n, e), and the memo
-    keeps every class the walk completes: ``edge`` fills every (n, m <= e);
+    keeps every class the walk completes: both fill every (n, m <= e), and
     ``vertex`` also completes every class its levels k < n hold.
     ``enumerate_connected.cache_clear()`` drops the memo.
     """

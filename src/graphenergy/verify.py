@@ -44,17 +44,6 @@ DUAL_ENERGY_TOL = 1e-6
 DUAL_ENERGY_CLASSES = ((4, 4), (5, 6), (6, 8), (7, 10))
 INEQUALITY_MARGIN = 1e-9  # a family inequality holds only by more than this
 
-# The census check's one vertex walk. Each vertex still to come needs an
-# edge, so its level k < 9 holds every connected k-vertex graph with at most
-# k + 3 edges: it fills (9,12) and each pinned class with n <= 8. On every
-# class it fills, the vertex census must equal the edge census string for string.
-VERTEX_WALK = (9, 12)
-AGREEMENT_CLASSES = tuple(
-    (n, e) for n, e in sorted(PINNED)
-    if (n, e) == VERTEX_WALK
-    or n < VERTEX_WALK[0] and e - n <= VERTEX_WALK[1] - VERTEX_WALK[0]
-)
-
 
 @dataclass(frozen=True)
 class RankedGraph:
@@ -400,23 +389,15 @@ def check_edge_cut_lemma(ctx: CheckContext) -> list[dict]:
 
 
 def check_census_counts(ctx: CheckContext) -> list[dict]:
-    """Each pinned class's count and digest, plus two-strategy agreement."""
+    """Each pinned class's count and digest against its pin."""
     ev = []
-    # largest first: one edge walk per order and the VERTEX_WALK walk fill every class
+    # largest first: the walk towards (9,12) fills every pinned class
     for (n, e), (count, digest) in sorted(PINNED.items(), reverse=True):
-        edge = enumerate_connected(n, e)
-        digest_ok = census_digest(edge.graphs) == digest
-        if (n, e) in AGREEMENT_CLASSES:
-            vertex = enumerate_connected(n, e, strategy="vertex")
-            same = edge.graphs == vertex.graphs
-            row = {"item": "derived-count", "n": n, "e": e, "edge_strategy": len(edge),
-                   "vertex_strategy": len(vertex), "frozen": count, "identical_censuses": same}
-            ok = len(edge) == len(vertex) == count and same
-        else:
-            row = {"item": "known-count", "n": n, "e": e, "expected": count,
-                   "actual": len(edge)}
-            ok = len(edge) == count
-        ev.append({**row, "digest_matches_pin": digest_ok, "ok": ok and digest_ok})
+        census = enumerate_connected(n, e)
+        digest_ok = census_digest(census.graphs) == digest
+        ev.append({"item": "known-count", "n": n, "e": e, "expected": count,
+                   "actual": len(census), "digest_matches_pin": digest_ok,
+                   "ok": len(census) == count and digest_ok})
     return ev[::-1]
 
 
@@ -537,21 +518,17 @@ def run_checks(names=None, ctx: CheckContext = CheckContext()) -> list[CheckResu
     unknown = [x for x in selected if x not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check(s): {', '.join(unknown)}")
-    # the largest class per order that the selected theorem checks rank: the
-    # first of them gets these first, so that one edge walk per order fills
-    # every class they rank, as in the census check
+    # the largest class that the selected theorem checks rank: the first of
+    # them gets it first, and the one walk towards it fills every class they
+    # rank, as in the census check
     excesses = {THEOREM_EXCESS[x] for x in selected if x in THEOREM_EXCESS}
-    largest = {}
-    for n, e in CLAIMS:
-        if e - n in excesses:
-            largest[n] = max(e, largest.get(n, e))
+    largest = max(((n, e) for n, e in CLAIMS if e - n in excesses), default=None)
     results = []
     for name in selected:
         t0 = time.perf_counter()
-        if name in THEOREM_EXCESS:
-            for n, e in largest.items():
-                get_census(n, e, ctx.cache_dir)
-            largest = {}
+        if name in THEOREM_EXCESS and largest:
+            get_census(*largest, ctx.cache_dir)
+            largest = None
         rows = CHECKS[name](ctx)
         results.append(
             CheckResult(name, all(row["ok"] for row in rows), rows, time.perf_counter() - t0)

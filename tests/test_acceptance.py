@@ -27,6 +27,8 @@ from graphenergy.census import PINNED
 from graphenergy.classify import is_bipartite
 from graphenergy.verify import CheckContext, default_inequality_range, run_checks
 
+from test_census import count_walks
+
 # every census any criterion touches; criterion 8 sweeps all of them
 ALL_CLASSES = sorted(PINNED)
 
@@ -43,25 +45,19 @@ def criterion(num: int, desc: str):
 
 
 def test_criterion_1_census_counts(monkeypatch):
-    walks = {"edge": [], "vertex": []}
-    for strategy, generate in list(census._STRATEGIES.items()):
-        monkeypatch.setitem(
-            census._STRATEGIES,
-            strategy,
-            lambda n, e, s=strategy, g=generate: walks[s].append((n, e)) or g(n, e),
-        )
-    with criterion(1, "pinned census counts and digests, two-strategy agreement"):
+    walks = count_walks(monkeypatch)
+    with criterion(1, "pinned census counts and digests, one vertex walk"):
         enumerate_connected.cache_clear()  # count every walk the check makes
         [result] = run_checks(["census"])
         assert result.passed, result.failures()
         assert [(row["n"], row["e"]) for row in result.evidence] == sorted(PINNED)
-        agreed = [(r["n"], r["e"]) for r in result.evidence if r["item"] == "derived-count"]
-        assert agreed == sorted(c for c in PINNED if c not in ((9, 10), (9, 11)))
-        assert len(agreed) == 17
-    # one vertex walk fills all 17; one edge walk per order, towards its
-    # largest pinned class, fills every class of that order
-    assert walks["vertex"] == [(9, 12)]
-    assert sorted(walks["edge"]) == [(4, 6), (5, 8), (6, 9), (7, 10), (8, 11), (9, 12)]
+        assert all(
+            row["item"] == "known-count" and row["digest_matches_pin"]
+            for row in result.evidence
+        )
+    # one vertex walk, towards (9,12), fills all 19; the edge walk is the
+    # tests' oracle (test_census), not the check's
+    assert walks == {"edge": [], "vertex": [(9, 12)]}
 
 
 def test_criterion_2_reference_energies():
@@ -98,11 +94,7 @@ def test_criterion_4_tricyclic_theorem():
 
 
 def test_criterion_5_tetracyclic_theorem(monkeypatch):
-    walks = []
-    walk_order = census._STRATEGIES["edge"]
-    monkeypatch.setitem(
-        census._STRATEGIES, "edge", lambda n, e: walks.append(n) or walk_order(n, e)
-    )
+    walks = count_walks(monkeypatch)
     # a fresh memo, to time the full work incl. the (9,12) enumeration; the
     # shared one, with criterion 1's walks, comes back for later tests
     monkeypatch.setattr(census, "_memo", {})
@@ -110,7 +102,7 @@ def test_criterion_5_tetracyclic_theorem(monkeypatch):
         [result] = run_checks(["tetracyclic"])
         assert result.passed, result.failures()
         assert result.runtime < 600, f"took {result.runtime:.1f}s"
-    assert sorted(walks) == [5, 6, 7, 8, 9]
+    assert walks == {"edge": [], "vertex": [(9, 12)]}
 
 
 def test_criterion_6_closed_forms_exact():

@@ -81,15 +81,14 @@ def test_known_counts(n, e):
     assert len(enumerate_connected(n, e)) == KNOWN[(n, e)]
 
 
-# largest e first, so that a cold memo walks each order once
+# largest e first, so that a cold memo makes one vertex walk, towards (9,12),
+# and one edge walk per order
 @pytest.mark.parametrize("n,e", sorted(PINNED_CENSUSES, reverse=True))
 def test_census_bytes_are_pinned(n, e):
     want = PINNED_CENSUSES[(n, e)]
-    census = enumerate_connected(n, e)
-    assert (len(census), census_digest(census.graphs)) == want
-    if n <= 8:
-        census = enumerate_connected(n, e, strategy="vertex")
-        assert (len(census), census_digest(census.graphs)) == want
+    for strategy in ("vertex", "edge"):
+        census = enumerate_connected(n, e, strategy=strategy)
+        assert (len(census), census_digest(census.graphs)) == want, strategy
 
 
 def test_library_pins_equal_the_literal_pins():
@@ -111,50 +110,77 @@ def test_strategies_agree_through_n6():
     # largest e first: one edge walk per order fills the rest of it
     for n in range(1, 7):
         for e in range(n + 3, max(0, n - 1) - 1, -1):
-            edge = enumerate_connected(n, e).graphs
-            vertex = enumerate_connected(n, e, strategy="vertex").graphs
-            assert edge == vertex, (n, e)
+            edge = enumerate_connected(n, e, strategy="edge").graphs
+            assert edge == enumerate_connected(n, e).graphs, (n, e)
 
 
 def test_strategies_agree_at_n7():
     for e in range(10, 5, -1):
-        edge = enumerate_connected(7, e).graphs
-        assert edge == enumerate_connected(7, e, strategy="vertex").graphs, e
+        edge = enumerate_connected(7, e, strategy="edge").graphs
+        assert edge == enumerate_connected(7, e).graphs, e
 
 
 def test_strategies_agree_at_n8():
     for e in range(11, 6, -1):
-        edge = enumerate_connected(8, e).graphs
-        assert edge == enumerate_connected(8, e, strategy="vertex").graphs, e
+        edge = enumerate_connected(8, e, strategy="edge").graphs
+        assert edge == enumerate_connected(8, e).graphs, e
+
+
+def test_strategies_agree_at_n9():
+    # the trees and unicyclic graphs too, which both walks towards (9,12) fill
+    for e in range(12, 7, -1):
+        edge = enumerate_connected(9, e, strategy="edge").graphs
+        assert edge == enumerate_connected(9, e).graphs, e
+
+
+@pytest.mark.parametrize("n,e", [(1, 0), (7, 10)])
+def test_both_walks_return_the_classes_of_their_order(n, e):
+    # one contract: a walk towards (n, e) returns every class (n, m <= e), with
+    # the same members from either strategy; the vertex walk adds lower orders
+    edge = _generate_orderly(n, e)
+    vertex = _generate_vertex_aug(n, e)
+    assert sorted(edge) == [key for key in sorted(vertex) if key[0] == n]
+    assert sorted(edge) == [(n, m) for m in range(e + 1)]
+    for key, strings in edge.items():
+        assert sorted(strings) == sorted(vertex[key]), key
+
+
+def count_walks(monkeypatch) -> dict:
+    """Record each walk of either strategy, as (n, e), under its name."""
+    walks = {strategy: [] for strategy in census_module._STRATEGIES}
+    for strategy, generate in list(census_module._STRATEGIES.items()):
+        monkeypatch.setitem(
+            census_module._STRATEGIES,
+            strategy,
+            lambda n, e, s=strategy, g=generate: walks[s].append((n, e)) or g(n, e),
+        )
+    return walks
 
 
 def test_edge_walk_goes_as_far_as_asked(monkeypatch):
     # a fresh memo, so the walks are counted whatever ran before
-    walks = []
-    walk_order = census_module._STRATEGIES["edge"]
-
-    def counted(n, e):
-        walks.append((n, e))
-        return walk_order(n, e)
-
-    monkeypatch.setitem(census_module._STRATEGIES, "edge", counted)
+    walks = count_walks(monkeypatch)
     monkeypatch.setattr(census_module, "_memo", {})
-    census = enumerate_connected(8, 9)
+
+    def edge(n, e):
+        return enumerate_connected(n, e, strategy="edge")
+
+    census = edge(8, 9)
     assert (len(census), census_digest(census.graphs)) == PINNED_CENSUSES[(8, 9)]
     # the walk towards (8,9) filled every class of order 8 up to e = 9
-    assert [len(enumerate_connected(8, m)) for m in range(10)] == [0] * 7 + [23, 89, 236]
-    assert enumerate_connected(8, 9, strategy="vertex").graphs == census.graphs
-    assert walks == [(8, 9)]
+    assert [len(edge(8, m)) for m in range(10)] == [0] * 7 + [23, 89, 236]
+    assert enumerate_connected(8, 9).graphs == census.graphs
+    assert walks == {"edge": [(8, 9)], "vertex": [(8, 9)]}
     # a larger e takes a new walk, and that one fills the classes in between
-    censuses = [enumerate_connected(8, e) for e in (11, 10)]
-    assert walks == [(8, 9), (8, 11)]
+    censuses = [edge(8, e) for e in (11, 10)]
+    assert walks["edge"] == [(8, 9), (8, 11)]
     for c in censuses:
         assert (len(c), census_digest(c.graphs)) == PINNED_CENSUSES[(8, c.e)]
     # too few edges to connect: the component prune cuts every child of the
     # root, so the walk is at once an empty answer
-    assert enumerate_connected(7, 2).graphs == ()
-    assert len(enumerate_connected(7, 6)) == 11
-    assert walks == [(8, 9), (8, 11), (7, 2), (7, 6)]
+    assert edge(7, 2).graphs == ()
+    assert len(edge(7, 6)) == 11
+    assert walks["edge"] == [(8, 9), (8, 11), (7, 2), (7, 6)]
 
 
 def test_edge_walk_stops_at_the_requested_e():
@@ -230,8 +256,9 @@ def test_planted_non_automorphism_loses_classes(monkeypatch):
 
 
 def test_deletion_filter_cuts_the_canonical_searches(monkeypatch):
-    # orbit pruning alone canonicalised 37,338 children on the walk towards
-    # (9,12); the canonical-deletion filter leaves 11,175 of them
+    # orbit pruning alone canonicalises 53,107 children on the walk towards
+    # (9,12), which fills every (9, m <= 12); the canonical-deletion filter
+    # leaves 16,978 of them
     real = census_module._canonical_rows_autos
     calls = []
 
@@ -241,7 +268,7 @@ def test_deletion_filter_cuts_the_canonical_searches(monkeypatch):
 
     monkeypatch.setattr(census_module, "_canonical_rows_autos", counted)
     strings = _generate_vertex_aug(9, 12)[9, 12]
-    assert len(calls) == 11_175
+    assert len(calls) == 16_978
     assert (len(strings), census_digest(sorted(strings))) == PINNED_CENSUSES[(9, 12)]
 
 
@@ -388,28 +415,33 @@ def test_generators_return_exact_parameters():
     for (n, e), strings in by_class.items():
         _assert_canonical_members(strings, n, e)
     assert [len(by_class[5, e]) for e in (5, 6)] == [KNOWN[(5, 5)], KNOWN[(5, 6)]]
-    # a vertex walk towards (5, 6) completes every class with members at a
-    # level k < 5: those with k - 1 <= m <= k + 1
+    # a vertex walk towards (5, 6) fills the same classes of that order, and
+    # completes every class with members at a level k < 5: those with
+    # k - 1 <= m <= k + 1
     by_class = _generate_vertex_aug(5, 6)
     lower = [(1, 0), (2, 1), (3, 2), (3, 3), (4, 3), (4, 4), (4, 5)]
-    assert sorted(by_class) == lower + [(5, 6)]
+    assert sorted(by_class) == lower + [(5, m) for m in range(7)]
+    assert not any(by_class[5, m] for m in range(4))
     for (n, e), strings in by_class.items():
         _assert_canonical_members(strings, n, e)
-    assert len(by_class[5, 6]) == KNOWN[(5, 6)]
+    assert [len(by_class[5, e]) for e in (5, 6)] == [KNOWN[(5, 5)], KNOWN[(5, 6)]]
     # too few edges to connect: every class up to the requested one is empty
     assert _generate_orderly(5, 3) == {(5, m): [] for m in range(4)}
-    assert _generate_vertex_aug(5, 3) == {(5, 3): [], (1, 0): ["@"]}
+    assert _generate_vertex_aug(5, 3) == {(5, m): [] for m in range(4)} | {(1, 0): ["@"]}
 
 
 def test_vertex_walk_completes_every_lower_class():
     # each vertex still to come needs an edge, so level k < 7 of a walk
     # towards (7, 10) holds every connected k-vertex graph with <= k + 3 edges
     by_class = _generate_vertex_aug(7, 10)
-    lower = [(k, m) for k in range(1, 7) for m in range(k + 4) if enumerate_connected(k, m).graphs]
+    lower = [
+        (k, m) for k in range(1, 7) for m in range(k + 4)
+        if enumerate_connected(k, m, strategy="edge").graphs
+    ]
     assert len(lower) == 18
-    assert sorted(by_class) == lower + [(7, 10)]
+    assert sorted(by_class) == lower + [(7, m) for m in range(11)]
     for (n, e), strings in by_class.items():
-        assert sorted(strings) == list(enumerate_connected(n, e).graphs), (n, e)
+        assert sorted(strings) == list(enumerate_connected(n, e, strategy="edge").graphs), (n, e)
 
 
 def test_determinism_across_runs():

@@ -86,7 +86,7 @@ class TestCharPoly:
 
 
 # every census class the checks rank or count, the 9,290 pinned graphs among
-# them; largest e first, so that a cold memo walks each order once
+# them; largest e first, so that a cold memo makes one walk, towards (9,12)
 _BATCH_CLASSES = sorted(
     set(PINNED)
     | {(n, n + k) for n in range(4, 9) for k in (1, 2, 3) if n + k <= n * (n - 1) // 2},

@@ -28,6 +28,7 @@ from graphenergy.verify import (
     run_checks,
 )
 
+from test_census import count_walks
 from test_spectral import char_poly_reference
 
 
@@ -116,18 +117,22 @@ class TestRankClass:
 
 
 class TestChecks:
-    def test_theorem_checks_walk_each_order_once(self, monkeypatch):
-        # without the census check, one edge walk per order, towards the
-        # largest class any of the three ranks, fills every class they rank
-        walks = []
-        generate = census_mod._STRATEGIES["edge"]
-        monkeypatch.setitem(
-            census_mod._STRATEGIES, "edge", lambda n, e: walks.append((n, e)) or generate(n, e)
-        )
+    def test_theorem_checks_make_one_walk(self, monkeypatch):
+        # without the census check, one vertex walk, towards the largest class
+        # any of the three ranks, fills every class they rank
+        walks = count_walks(monkeypatch)
         monkeypatch.setattr(census_mod, "_memo", {})
         results = run_checks(["bicyclic", "tricyclic", "tetracyclic"])
         assert all(result.passed for result in results)
-        assert sorted(walks) == [(4, 6), (5, 8), (6, 9), (7, 10), (8, 11), (9, 12)]
+        assert walks == {"edge": [], "vertex": [(9, 12)]}
+
+    def test_default_run_makes_one_vertex_walk(self, monkeypatch):
+        # all nine checks, as `verify` runs them: the census check's walk
+        # fills every class the later checks read, and no check walks edges
+        walks = count_walks(monkeypatch)
+        monkeypatch.setattr(census_mod, "_memo", {})
+        assert all(result.passed for result in run_checks(ctx=CheckContext(trials=20)))
+        assert walks == {"edge": [], "vertex": [(9, 12)]}
 
     def test_closed_forms_pass(self):
         [result] = run_checks(["closed-forms"])
@@ -173,10 +178,11 @@ class TestChecks:
         monkeypatch.setattr(verify_mod, "PINNED", pins)
         [result] = run_checks(["census"])
         assert not result.passed
-        # both classes are filled by the check's vertex walk: derived-count rows
-        assert [(r["n"], r["e"], r["edge_strategy"], r["identical_censuses"],
+        # the count is right; the digest misses the planted pin
+        assert [(r["item"], r["n"], r["e"], r["expected"], r["actual"],
                  r["digest_matches_pin"], r["ok"]) for r in result.evidence] == [
-            (4, 4, 2, True, True, True), (5, 6, 5, True, False, False)]
+            ("known-count", 4, 4, 2, 2, True, True),
+            ("known-count", 5, 6, 5, 5, False, False)]
 
     def test_run_checks_rejects_unknown(self):
         with pytest.raises(KeyError):
