@@ -4,7 +4,7 @@ The public surface re-exports the main value types and operations; see the
 README for the CLI.
 """
 
-from .canon import aut_order, canonical_label, canonicalize
+from .canon import aut_order, canonical_label
 from .census import (
     GraphClassCensus,
     census_cache_load,
@@ -16,11 +16,9 @@ from .classify import (
     BipartiteCheck,
     ClassKind,
     ClassLabel,
-    bridges,
     classify,
     is_bipartite,
     is_edge_cut,
-    simple_cycles,
 )
 from .errors import (
     CacheMissError,
@@ -36,7 +34,6 @@ from .errors import (
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import (
     Graph,
-    count_triangles,
     delete_edges,
     disjoint_union,
     family_graph,
@@ -57,9 +54,7 @@ from .spectral import (
     closed_form_charpoly,
     eigenvalues,
     energy,
-    energy_coulson,
     energy_coulsons,
-    poly_mul,
     spectra,
 )
 from .verify import CheckContext, CheckResult, RankReport, rank_class, run_checks
@@ -88,21 +83,17 @@ __all__ = [
     "Spectrum",
     "aut_order",
     "b_coeffs",
-    "bridges",
     "canonical_label",
-    "canonicalize",
     "census_cache_load",
     "census_cache_store",
     "char_poly",
     "char_polys",
     "classify",
     "closed_form_charpoly",
-    "count_triangles",
     "delete_edges",
     "disjoint_union",
     "eigenvalues",
     "energy",
-    "energy_coulson",
     "energy_coulsons",
     "enumerate_connected",
     "family_graph",
@@ -118,9 +109,7 @@ __all__ = [
     "make_s_graph",
     "make_star",
     "make_wheel",
-    "poly_mul",
     "rank_class",
     "run_checks",
-    "simple_cycles",
     "spectra",
 ]

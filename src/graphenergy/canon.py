@@ -170,12 +170,6 @@ def canonical_g6(n: int, rows) -> str:
     return encode_rows(n, canonical_rows(n, rows))
 
 
-def canonicalize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Canonical image of ``g`` and the relabelling that produces it."""
-    cert, perm, _, _ = _canonical_search(g.adj, g.n)
-    return Graph(g.n, cert), perm
-
-
 def canonical_label(g: Graph) -> str:
     """Canonical graph6 string; isomorphic graphs map to equal strings."""
     return canonical_g6(g.n, g.adj)

@@ -1,5 +1,5 @@
-"""Structural predicates: bipartiteness, odd-cycle pair classification,
-bridges, and edge cuts.
+"""Structural predicates: bipartiteness, odd-cycle pair classification and
+edge cuts.
 
 The class split tests whether a graph contains two vertex-disjoint odd
 cycles whose lengths sum to 2 mod 4; graphs without such a pair are
@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ScaleError
-from .graphs import Edge, Graph, delete_edges
+from .graphs import Graph, delete_edges
 
 MAX_CLASSIFY_VERTICES = 12
 # K10 has 556,014 simple cycles; K11 has 5,488,059 and K12 some 60 million
@@ -115,11 +115,6 @@ def _cycles(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
                     stack.append((u, mask | 1 << u, path + (u,), closers))
 
 
-def simple_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """All simple cycles as vertex sequences (each once, smallest vertex first)."""
-    return [path for path, _ in _cycles(g)]
-
-
 def classify(g: Graph, *, disjointness: str = "vertex") -> ClassLabel:
     """Split by presence of two disjoint odd cycles with length sum 2 mod 4.
 
@@ -163,42 +158,6 @@ def classify(g: Graph, *, disjointness: str = "vertex") -> ClassLabel:
             if (len(a) + len(b)) % 4 == 2 and not ka & kb:
                 return ClassLabel(ClassKind.CLASS2, (a, b))
     return ClassLabel(ClassKind.CLASS1, None)
-
-
-def bridges(g: Graph) -> list[Edge]:
-    """All cut edges, by the standard low-link computation; sorted output."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out: list[Edge] = []
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        # iterative DFS: stack of (v, parent_edge_vertex, neighbor iterator)
-        stack = [(root, -1, iter(g.neighbors(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, pv, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, v, iter(g.neighbors(u))))
-                    advanced = True
-                    break
-                elif u != pv:
-                    low[v] = min(low[v], disc[u])
-                # u == pv: simple graphs have no parallel edges; skip the tree edge
-            if not advanced:
-                stack.pop()
-                if stack:
-                    w = stack[-1][0]
-                    low[w] = min(low[w], low[v])
-                    if low[v] > disc[w]:
-                        out.append((min(v, w), max(v, w)))
-    return sorted(out)
 
 
 def is_edge_cut(g: Graph, edges) -> bool:

@@ -257,11 +257,8 @@ def _cmd_energy(args) -> int:
 def _cmd_enumerate(args) -> int:
     census = get_census(args.n, args.e, args.cache_dir)
     if args.out:
-        try:
-            census_cache_store(census, args.out)
-        except OSError as exc:
-            print(f"graphenergy: cannot write census: {exc}", file=sys.stderr)
-            return _EXIT_IO
+        # an OSError reaches main, which reports it with exit 3
+        census_cache_store(census, args.out)
     if args.format == "json":
         print(
             json.dumps(

@@ -168,23 +168,6 @@ class Graph:
         nbrs = [bit_indices(row) for row in self.adj]
         return Graph(self.n, relabel_rows(nbrs, perm))
 
-    def adjacency_matrix(self):
-        import numpy as np
-
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges():
-            a[u, v] = a[v, u] = 1.0
-        return a
-
-
-def count_triangles(g: Graph) -> int:
-    """Brute-force triangle count (oracle for coefficient identities)."""
-    return sum(
-        1
-        for a, b, c in itertools.combinations(range(g.n), 3)
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-    )
-
 
 def make_s_graph(n: int, e: int) -> Graph:
     """Star on n vertices (centre 0) plus e-n+1 edges from vertex 1 to 2..e-n+2.

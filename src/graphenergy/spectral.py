@@ -44,7 +44,7 @@ classical contour formula from the exact coefficients and serves as the
 independent oracle: nothing the eigensolver computes reaches it. It runs one
 masked Gauss-Kronrod pass per chunk of polynomials whose squared modulus has
 one degree, each integral refining until it meets the tolerance or passes
-``_MAX_PANELS`` panels; ``energy_coulson`` is a batch of one.
+``_MAX_PANELS`` panels.
 """
 
 from __future__ import annotations
@@ -206,16 +206,6 @@ def char_poly(g: Graph) -> tuple[int, ...]:
 def b_coeffs(p: tuple[int, ...]) -> tuple[int, ...]:
     """Sign-adjusted coefficients b_k = (-1)^(k//2) * a_k."""
     return tuple((-1) ** (k // 2) * a for k, a in enumerate(p))
-
-
-def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact product; the characteristic polynomial of a disjoint union."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
 
 
 def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
@@ -471,8 +461,3 @@ def energy_coulsons(polys: Sequence[tuple[int, ...]], *, tol: float = 1e-7) -> l
                 r.error_bound,
             )
     return results
-
-
-def energy_coulson(p: tuple[int, ...], *, tol: float = 1e-7) -> CoulsonEnergy:
-    """Graph energy from the contour-integral formula, with an error bound; a batch of one."""
-    return energy_coulsons([p], tol=tol)[0]

@@ -513,8 +513,8 @@ CHECKS = {
 
 def run_checks(names=None, ctx: CheckContext = CheckContext()) -> list[CheckResult]:
     """Run the named checks (all of them when none is named or "all" is among
-    the names); each passes when every evidence row is ok."""
-    selected = list(CHECKS) if not names or "all" in names else list(names)
+    the names, each name once); each passes when every evidence row is ok."""
+    selected = list(CHECKS) if not names or "all" in names else list(dict.fromkeys(names))
     unknown = [x for x in selected if x not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check(s): {', '.join(unknown)}")

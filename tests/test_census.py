@@ -37,6 +37,8 @@ from graphenergy.census import (
 )
 from graphenergy.graphs import bit_indices, relabel_rows
 
+from test_graphs import adjacency_matrix
+
 KNOWN = {
     (3, 3): 1,
     (4, 4): 2,
@@ -361,7 +363,7 @@ def test_census_matches_graph_atlas():
     assert sum(len(atlas.get(key, [])) for key in classes) == 459
     for n, e in classes:
         members = [
-            nx.from_numpy_array(g.adjacency_matrix())
+            nx.from_numpy_array(adjacency_matrix(g))
             for g in enumerate_connected(n, e).members()
         ]
         buckets: dict[tuple[int, ...], list[int]] = {}

@@ -12,7 +12,6 @@ from graphenergy import (
     Graph,
     NotAnEdgeError,
     ScaleError,
-    bridges,
     classify,
     delete_edges,
     family_graph,
@@ -24,9 +23,9 @@ from graphenergy import (
     make_cycle,
     make_s_graph,
     make_star,
-    simple_cycles,
 )
 from graphenergy.census import PINNED, enumerate_connected
+from graphenergy.classify import _cycles
 from graphenergy.graph6 import graph6_decode
 
 from test_graphs import graph_strategy
@@ -57,6 +56,11 @@ class TestBipartite:
             assert len(set(cyc)) == len(cyc)
             for i, v in enumerate(cyc):
                 assert g.has_edge(v, cyc[(i + 1) % len(cyc)])
+
+
+def simple_cycles(g):
+    """The cycles ``classify`` pairs, as vertex sequences, smallest vertex first."""
+    return [path for path, _ in _cycles(g)]
 
 
 class TestSimpleCycles:
@@ -223,38 +227,6 @@ class TestKeyPairing:
         assert time.process_time() - start < 1.0
 
 
-class TestBridges:
-    def test_tree_all_edges(self):
-        tree = make_star(6)
-        assert bridges(tree) == sorted(tree.edges())
-
-    def test_cycle_none(self):
-        assert bridges(make_cycle(5)) == []
-
-    def test_two_triangles_one_bridge(self):
-        g = Graph.from_edges(
-            6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
-        )
-        assert bridges(g) == [(0, 3)]
-
-    @given(graph_strategy(min_n=2, max_n=8))
-    @settings(max_examples=80, deadline=None)
-    def test_against_removal_oracle(self, g):
-        # an edge is a bridge iff deleting it increases the component count
-        expected = sorted(
-            (u, v)
-            for u, v in g.edges()
-            if delete_edges(g, [(u, v)]).component_count() > g.component_count()
-        )
-        assert bridges(g) == expected
-
-    def test_every_bridge_is_a_singleton_edge_cut(self):
-        for s in enumerate_connected(6, 7).graphs:
-            g = graph6_decode(s)
-            for edge in bridges(g):
-                assert is_edge_cut(g, [edge])
-
-
 class TestEdgeCut:
     def test_star_cut_isolates_vertex(self):
         g = make_complete(4)
@@ -286,3 +258,15 @@ class TestEdgeCut:
     def test_all_edges_form_a_cut(self):
         g = make_complete(4)
         assert is_edge_cut(g, g.edges())
+
+    @given(graph_strategy(min_n=2, max_n=8))
+    @example(make_star(6))
+    @example(make_cycle(5))
+    @example(Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]))
+    @settings(max_examples=80, deadline=None)
+    def test_single_edge_cut_iff_networkx_bridge(self, g):
+        # networkx's bridge search shares no code with the component count
+        nx = pytest.importorskip("networkx")
+        theirs = {(min(u, v), max(u, v)) for u, v in nx.bridges(nx.Graph(g.edges()))}
+        for edge in g.edges():
+            assert is_edge_cut(g, [edge]) == (edge in theirs)

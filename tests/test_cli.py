@@ -248,6 +248,15 @@ class TestEnumerate:
         meta = (tmp_path / "cache" / "census_n6_e9.meta").read_text()
         assert "count: 20" in meta
 
+    def test_out_under_a_file_is_io_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, "enumerate", "5", "6", "--out", str(blocker / "cache"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("graphenergy: ")
+        assert "Traceback" not in err
+
     def test_census_file_independent_of_hash_seed(self, tmp_path):
         # census generation keeps its keys in sets and dicts; only a fresh
         # interpreter per hash seed can show an iteration-order dependence

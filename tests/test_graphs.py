@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from graphenergy import (
     ScaleError,
     canonical_label,
     char_poly,
-    count_triangles,
     delete_edges,
     disjoint_union,
     energy,
@@ -29,7 +30,6 @@ from graphenergy import (
     make_s_graph,
     make_star,
     make_wheel,
-    poly_mul,
 )
 import graphenergy
 from graphenergy.classify import is_bipartite
@@ -48,6 +48,36 @@ def graph_strategy(min_n=2, max_n=9):
             build, st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1)
         )
     )
+
+
+# Brute-force oracles that the other test files import alongside graph_strategy
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The float64 0/1 adjacency matrix."""
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def count_triangles(g: Graph) -> int:
+    """Triangles by testing every vertex triple."""
+    return sum(
+        1
+        for a, b, c in itertools.combinations(range(g.n), 3)
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+    )
+
+
+def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact product; the characteristic polynomial of a disjoint union."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
 
 
 class TestGraphValue:
@@ -313,10 +343,14 @@ def test_public_names_resolve_once():
     assert len(graphenergy.__all__) == len(set(graphenergy.__all__))
     for name in graphenergy.__all__:
         assert getattr(graphenergy, name) is not None, name
-    # polynomials are tuples, labels strings, and every order error a ScaleError
-    for gone in ("CharPoly", "BCoeffs", "CanonicalForm", "SizeOverflowError"):
+    # polynomials are tuples, labels strings, and every order error a
+    # ScaleError; what only tests called is gone or lives in the tests
+    for gone in ("CharPoly", "BCoeffs", "CanonicalForm", "SizeOverflowError",
+                 "bridges", "simple_cycles", "energy_coulson", "poly_mul",
+                 "count_triangles", "canonicalize"):
         assert gone not in graphenergy.__all__
         assert not hasattr(graphenergy, gone)
+    assert not hasattr(Graph, "adjacency_matrix")
 
 
 def test_every_order_above_62_raises_scale_error(capsys):

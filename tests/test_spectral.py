@@ -17,11 +17,9 @@ from graphenergy import (
     char_poly,
     char_polys,
     closed_form_charpoly,
-    count_triangles,
     disjoint_union,
     eigenvalues,
     energy,
-    energy_coulson,
     energy_coulsons,
     family_graph,
     graph6_decode,
@@ -29,14 +27,13 @@ from graphenergy import (
     make_complete,
     make_cycle,
     make_s_graph,
-    poly_mul,
     spectra,
 )
 import graphenergy.spectral as spectral_mod
 from graphenergy.census import PINNED, enumerate_connected
 from graphenergy.classify import is_bipartite
 
-from test_graphs import graph_strategy
+from test_graphs import adjacency_matrix, count_triangles, graph_strategy, poly_mul
 
 
 def _poly_from_roots(roots):
@@ -175,7 +172,7 @@ class TestBatchedCharPoly:
         assert fallback_calls == [40, 62]
         x = sympy.Symbol("x")
         for g, p in zip((g40, g62), got):
-            want = sympy.Matrix(g.adjacency_matrix().astype(int)).charpoly(x).all_coeffs()
+            want = sympy.Matrix(adjacency_matrix(g).astype(int)).charpoly(x).all_coeffs()
             assert p == tuple(int(c) for c in want)
 
     def test_mixed_orders_in_input_order(self, fallback_calls):
@@ -347,16 +344,16 @@ class TestSpectrum:
 
 class TestCoulson:
     def test_k4_exact_value(self):
-        est = energy_coulson(char_poly(make_complete(4)))
+        est = energy_coulsons([char_poly(make_complete(4))])[0]
         assert est.value == pytest.approx(6.0, abs=1e-6)
         assert est.error_bound <= 1e-7
 
     def test_s55_reference(self):
-        est = energy_coulson(char_poly(make_s_graph(5, 5)))
+        est = energy_coulsons([char_poly(make_s_graph(5, 5))])[0]
         assert est.value == pytest.approx(5.62721, abs=1e-5)
 
     def test_edgeless_is_exactly_zero(self):
-        est = energy_coulson(char_poly(Graph(7, (0,) * 7)))
+        est = energy_coulsons([char_poly(Graph(7, (0,) * 7))])[0]
         assert est.value == 0.0
         assert est.error_bound == 0.0
 
@@ -364,7 +361,7 @@ class TestCoulson:
         # one round of refinement: each integral stops at two panels
         monkeypatch.setattr(spectral_mod, "_MAX_PANELS", 1)
         with pytest.raises(QuadratureAccuracyError) as err:
-            energy_coulson(char_poly(make_complete(4)), tol=1e-13)
+            energy_coulsons([char_poly(make_complete(4))], tol=1e-13)
         assert err.value.estimate == pytest.approx(6.0, abs=1e-2)
         assert err.value.error_bound > 0
 
@@ -373,7 +370,7 @@ class TestCoulson:
         # splits into two halves, at 15 nodes each: 15 * (2c - 1)
         want = {"K 2": 30, "K 4": 60, "C 5": 60, "S 9 12": 90, "K 62": 210}
         for fam, evals in want.items():
-            assert energy_coulson(char_poly(family_graph(fam))).evaluations == evals, fam
+            assert energy_coulsons([char_poly(family_graph(fam))])[0].evaluations == evals, fam
         # a row past _MAX_PANELS stops; a round splits a quarter of its panels,
         # so it ends with at most 5,000: 149,985 evaluations per integral
         cap = spectral_mod._MAX_PANELS
@@ -381,24 +378,24 @@ class TestCoulson:
         assert ceiling == 299_970
         # no tolerance is reachable here: both integrals stop at the panel limit
         with pytest.raises(QuadratureAccuracyError) as err:
-            energy_coulson(char_poly(family_graph("K 62")), tol=1e-300)
+            energy_coulsons([char_poly(family_graph("K 62"))], tol=1e-300)
         evals = int(re.search(r"after (\d+) evaluations", str(err.value)).group(1))
         assert evals == 254_430 <= ceiling
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
-            energy_coulson(char_poly(make_complete(4)), tol=tol)
+            energy_coulsons([char_poly(make_complete(4))], tol=tol)
 
     @given(graph_strategy(min_n=2, max_n=10))
     @settings(max_examples=40, deadline=None)
     def test_dual_route_agreement(self, g):
-        est = energy_coulson(char_poly(g))
+        est = energy_coulsons([char_poly(g)])[0]
         assert est.value == pytest.approx(energy(g), abs=1e-6)
 
     def test_agreement_with_many_zero_eigenvalues(self):
         g = disjoint_union(make_s_graph(11, 11), make_cycle(3))
-        est = energy_coulson(char_poly(g))
+        est = energy_coulsons([char_poly(g)])[0]
         assert est.value == pytest.approx(energy(g), abs=1e-6)
 
     def test_batch_equals_batches_of_one_bit_for_bit(self):
@@ -416,7 +413,7 @@ class TestCoulson:
         polys = [p for pair in zip(same_degree, [char_poly(g) for g in graphs]) for p in pair]
         polys += same_degree[len(graphs):]
         batch = energy_coulsons(polys)
-        assert batch == [energy_coulson(p) for p in polys]
+        assert batch == [energy_coulsons([p])[0] for p in polys]
         assert batch[5] == spectral_mod.CoulsonEnergy(0.0, 0.0, 0)
         for g, est in zip(graphs, batch[1::2]):
             assert est.value == pytest.approx(energy(g), abs=1e-6)
@@ -432,7 +429,7 @@ class TestCoulson:
         polys = [char_poly(g) for g in (make_complete(2), make_complete(4), make_cycle(5))]
         energy_coulsons(polys[::2], tol=1e-10)
         with pytest.raises(QuadratureAccuracyError) as alone:
-            energy_coulson(polys[1], tol=1e-10)
+            energy_coulsons([polys[1]], tol=1e-10)
         with pytest.raises(QuadratureAccuracyError) as err:
             energy_coulsons(polys, tol=1e-10)
         assert err.value.estimate == alone.value.estimate == pytest.approx(6.0, abs=1e-3)
@@ -451,8 +448,8 @@ class TestCoulson:
         for _ in range(10):
             g = _rand(rng, rng.randint(3, 6))
             h = _rand(rng, rng.randint(3, 6))
-            lhs = energy_coulson(char_poly(disjoint_union(g, h))).value
-            rhs = energy_coulson(char_poly(g)).value + energy_coulson(char_poly(h)).value
+            lhs = energy_coulsons([char_poly(disjoint_union(g, h))])[0].value
+            rhs = sum(est.value for est in energy_coulsons([char_poly(g), char_poly(h)]))
             assert lhs == pytest.approx(rhs, abs=2e-6)
 
 

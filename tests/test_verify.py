@@ -29,6 +29,7 @@ from graphenergy.verify import (
 )
 
 from test_census import count_walks
+from test_graphs import adjacency_matrix
 from test_spectral import char_poly_reference
 
 
@@ -67,7 +68,7 @@ class TestRankClass:
         for s in enumerate_connected(8, 11).graphs:
             g = graph6_decode(s)
             coeffs = char_poly_reference(g)
-            w = np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
+            w = np.linalg.eigvalsh(adjacency_matrix(g))[::-1]
             rows.append((float(np.abs(w).sum()), s, _digest_poly(coeffs), coeffs))
         rows.sort(key=lambda r: (r[0], r[1]))
         ties = tuple(
@@ -153,8 +154,9 @@ class TestChecks:
         assert result.evidence[-1]["violations"] == 0
 
     def test_edge_cut_lemma_deterministic_in_seed(self):
-        [a, b] = run_checks(["edge-cut", "edge-cut"], CheckContext(seed=3, trials=40))
-        assert [r for r in a.evidence] == [r for r in b.evidence]
+        [a] = run_checks(["edge-cut"], CheckContext(seed=3, trials=40))
+        [b] = run_checks(["edge-cut"], CheckContext(seed=3, trials=40))
+        assert a.evidence == b.evidence
 
     def test_deleting_every_edge_never_raises_energy(self):
         # the whole edge set is an edge cut; the remainder has energy zero
@@ -191,6 +193,11 @@ class TestChecks:
     def test_run_checks_selection(self):
         results = run_checks(["closed-forms"])
         assert [r.name for r in results] == ["closed-forms"]
+
+    def test_a_repeated_name_runs_once(self):
+        names = ["edge-cut", "closed-forms", "edge-cut", "closed-forms"]
+        results = run_checks(names, CheckContext(trials=20))
+        assert [r.name for r in results] == ["edge-cut", "closed-forms"]
 
 
 class TestRendering:
