@@ -227,6 +227,47 @@ class TestKeyPairing:
         assert time.process_time() - start < 1.0
 
 
+def bridges(g):
+    """The edges that ``is_edge_cut`` finds to be a cut on their own, sorted."""
+    return sorted(edge for edge in g.edges() if is_edge_cut(g, [edge]))
+
+
+class TestBridges:
+    def test_tree_all_edges(self):
+        tree = make_star(6)
+        assert bridges(tree) == sorted(tree.edges())
+
+    def test_cycle_none(self):
+        assert bridges(make_cycle(5)) == []
+
+    def test_two_triangles_one_bridge(self):
+        g = Graph.from_edges(
+            6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
+        )
+        assert bridges(g) == [(0, 3)]
+
+    @given(graph_strategy(min_n=2, max_n=8))
+    @settings(max_examples=80, deadline=None)
+    def test_against_removal_oracle(self, g):
+        # an edge is a bridge iff deleting it increases the component count
+        expected = sorted(
+            (u, v)
+            for u, v in g.edges()
+            if delete_edges(g, [(u, v)]).component_count() > g.component_count()
+        )
+        assert bridges(g) == expected
+
+    def test_every_bridge_is_a_singleton_edge_cut(self):
+        # over the whole (6, 7) census: networkx's bridges, and no other edge
+        nx = pytest.importorskip("networkx")
+        for s in enumerate_connected(6, 7).graphs:
+            g = graph6_decode(s)
+            theirs = sorted(
+                (min(u, v), max(u, v)) for u, v in nx.bridges(nx.Graph(g.edges()))
+            )
+            assert bridges(g) == theirs
+
+
 class TestEdgeCut:
     def test_star_cut_isolates_vertex(self):
         g = make_complete(4)
@@ -260,9 +301,6 @@ class TestEdgeCut:
         assert is_edge_cut(g, g.edges())
 
     @given(graph_strategy(min_n=2, max_n=8))
-    @example(make_star(6))
-    @example(make_cycle(5))
-    @example(Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]))
     @settings(max_examples=80, deadline=None)
     def test_single_edge_cut_iff_networkx_bridge(self, g):
         # networkx's bridge search shares no code with the component count
