@@ -2,7 +2,10 @@
 
 ``char_polys`` and ``spectra`` take graphs of any orders, run one stacked pass
 per chunk of at most ``_CHUNK`` graphs of one order and answer in input order;
-``char_poly`` and ``eigenvalues`` are batches of one.
+``char_poly`` and ``eigenvalues`` are batches of one. The census path,
+``census_energies(n, strings)``, decodes graph6 strings of one order straight
+into each chunk's int64 stack and keeps only energies and polynomials; it and
+``spectra`` share one solve, ``_solve``, with every gate of the eigensolve.
 
 Per chunk, the Faddeev-LeVerrier recurrence
 
@@ -50,13 +53,14 @@ one degree, each integral refining until it meets the tolerance or passes
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GraphEnergyError, InvalidFamilyError, QuadratureAccuracyError
-from .graphs import Graph
+from .graph6 import graph6_decode
+from .graphs import MAX_VERTICES, Graph
 
 
 @dataclass(frozen=True)
@@ -105,14 +109,35 @@ def _batched(stacked: Callable[[list], list], items: Sequence, size: Callable) -
     return out
 
 
-def _order(g: Graph) -> int:
-    return g.n
-
-
 def _adjacency_stack(graphs: list[Graph]) -> np.ndarray:
     """``(k, n, n)`` 0/1 int64 adjacency matrices, unpacked from the bitset rows."""
     rows = np.array([g.adj for g in graphs], dtype=np.int64)
     return (rows[:, :, None] >> np.arange(rows.shape[1])) & 1
+
+
+def _graph6_stack(n: int, strings: Sequence[str]) -> np.ndarray:
+    """``(k, n, n)`` 0/1 int64 adjacency matrices of bare order-n graph6 strings, in one pass.
+
+    On a batch failing a size byte, data byte, length or padding check, the
+    first string ``graph6_decode`` rejects raises its error; one it accepts (a
+    header, whitespace, another order) raises :class:`GraphEnergyError`.
+    """
+    k, nbits = len(strings), n * (n - 1) // 2
+    width = 1 + (nbits + 5) // 6
+    raw = "".join(strings).encode()
+    # a non-ASCII character makes the UTF-8 bytes outrun the characters
+    if 0 < n <= MAX_VERTICES and len(raw) == k * width and all(len(s) == width for s in strings):
+        b = np.frombuffer(raw, dtype=np.uint8).reshape(k, width)
+        data = b[:, 1:] - np.uint8(63)  # a byte below 63 wraps past 63
+        bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(k, 6 * (width - 1))
+        if (b[:, 0] == 63 + n).all() and (data < 64).all() and not bits[:, nbits:].any():
+            a = np.zeros((k, n, n), dtype=np.int64)
+            j, i = np.tril_indices(n, -1)  # the column-major upper triangle
+            a[:, i, j] = bits[:, :nbits]
+            return a + a.transpose(0, 2, 1)
+    for s in strings:
+        graph6_decode(s)
+    raise GraphEnergyError(f"census strings are not bare graph6 strings of order {n}")
 
 
 def _int64_char_polys(a: np.ndarray) -> list[tuple[int, ...]]:
@@ -195,7 +220,7 @@ def _stacked_char_polys(a: np.ndarray) -> list[tuple[int, ...]]:
 
 def char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     """Exact characteristic polynomials of graphs of any orders, in input order."""
-    return _batched(lambda chunk: _stacked_char_polys(_adjacency_stack(chunk)), graphs, _order)
+    return _batched(lambda chunk: _stacked_char_polys(_adjacency_stack(chunk)), graphs, lambda g: g.n)
 
 
 def char_poly(g: Graph) -> tuple[int, ...]:
@@ -208,19 +233,18 @@ def b_coeffs(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((-1) ** (k // 2) * a for k, a in enumerate(p))
 
 
-def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
-    """Spectra of one chunk of graphs of one order from one stacked eigensolve.
+def _solve(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]], list[float]]:
+    """Descending eigenvalues, exact polynomials and residuals of one ``(k, n, n)`` stack.
 
-    Each graph's exact polynomial gates its eigenvalues:
-    :class:`GraphEnergyError` is raised when the largest residual |p(lambda)|
-    exceeds 1e-10 times the largest condition sum_k |c_k| |lambda|^(n-k), as
-    it does for a wrong polynomial.
+    One stacked eigensolve, gated by the trace-zero and square-sum identities
+    and by each graph's exact polynomial: :class:`GraphEnergyError` is raised
+    when the largest residual |p(lambda)| exceeds 1e-10 times the largest
+    condition sum_k |c_k| |lambda|^(n-k), as it does for a wrong polynomial.
     """
-    n = graphs[0].n
-    a = _adjacency_stack(graphs)
+    n = a.shape[1]
     polys = _stacked_char_polys(a)
     w = np.linalg.eigvalsh(a.astype(np.float64))[:, ::-1]
-    e = np.array([g.e for g in graphs], dtype=np.float64)
+    e = a.sum(axis=(1, 2)) / 2
     if (np.abs(w.sum(axis=1)) > 1e-9 * n).any():
         raise GraphEnergyError("eigenvalue sum violates trace-zero bound")
     if (np.abs((w * w).sum(axis=1) - 2 * e) > 1e-8 * np.maximum(e, 1)).any():
@@ -231,15 +255,27 @@ def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
     condition = (np.abs(powers) @ np.abs(c)).max(axis=(1, 2))
     if (residual > 1e-10 * condition).any():
         raise GraphEnergyError("eigenvalues are not roots of the characteristic polynomial")
+    return w, polys, residual.tolist()
+
+
+def _stacked_spectra(graphs: list[Graph]) -> list[Spectrum]:
+    w, polys, residuals = _solve(_adjacency_stack(graphs))
     return [
         Spectrum(tuple(row.tolist()), float(np.abs(row).sum()), r, p)
-        for row, r, p in zip(w, residual.tolist(), polys)
+        for row, r, p in zip(w, residuals, polys)
     ]
 
 
 def spectra(graphs: Sequence[Graph]) -> list[Spectrum]:
     """Spectra of graphs of any orders, in input order, each with its polynomial."""
-    return _batched(_stacked_spectra, graphs, _order)
+    return _batched(_stacked_spectra, graphs, lambda g: g.n)
+
+
+def census_energies(n: int, strings: Sequence[str]) -> Iterator[tuple[float, tuple[int, ...]]]:
+    """(energy, polynomial) per bare order-n graph6 string, in input order, building no graph."""
+    for lo in range(0, len(strings), _CHUNK):
+        w, polys, _ = _solve(_graph6_stack(n, strings[lo:lo + _CHUNK]))
+        yield from zip(np.abs(w).sum(axis=1).tolist(), polys)
 
 
 def eigenvalues(g: Graph) -> Spectrum:

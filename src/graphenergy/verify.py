@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .census import PINNED, census_digest, enumerate_connected, get_census
 from .classify import ClassKind, classify, is_bipartite, is_edge_cut
-from .graph6 import graph6_decode
 from .graphs import (
     Graph,
     disjoint_union,
@@ -29,13 +28,12 @@ from .graphs import (
     make_s_graph,
 )
 from .spectral import (
-    _CHUNK,
     b_coeffs,
+    census_energies,
     char_poly,
     closed_form_charpoly,
     energy,
     energy_coulsons,
-    spectra,
 )
 from .canon import canonical_g6
 
@@ -94,16 +92,12 @@ def _digest_poly(coeffs) -> str:
 def rank_class(n: int, e: int, cache_dir=None) -> RankReport:
     """Enumerate the class, compute authoritative energies, sort, mark ties.
 
-    The census is decoded and solved one stacked chunk at a time, keeping
-    only each graph's (energy, graph6, polynomial).
+    The census strings go straight to stacked solves, one chunk at a time,
+    keeping only each graph's (energy, graph6, polynomial).
     """
     strings = get_census(n, e, cache_dir).graphs
-    rows = []
-    for lo in range(0, len(strings), _CHUNK):
-        chunk = strings[lo:lo + _CHUNK]
-        specs = spectra([graph6_decode(s) for s in chunk])
-        rows += [(spec.energy, s, spec.charpoly) for s, spec in zip(chunk, specs)]
-    rows.sort()  # by energy, then string: strings are distinct
+    # by energy, then string: strings are distinct
+    rows = sorted((en, s, p) for s, (en, p) in zip(strings, census_energies(n, strings)))
     ties = tuple(
         (i, i + 1, a[2] == b[2])
         for i, (a, b) in enumerate(zip(rows, rows[1:]))
@@ -466,15 +460,14 @@ def check_dual_energy(ctx: CheckContext) -> list[dict]:
     """Eigenvalue energy versus contour-integral energy over whole censuses."""
     ev = []
     worst = 0.0
-    censuses = [get_census(n, e, ctx.cache_dir) for n, e in DUAL_ENERGY_CLASSES]
-    # one pass over every class; each census below takes its own differences in turn
-    specs = spectra([g for census in censuses for g in census.members()])
-    # the contour integral sees only the exact polynomials
-    coulsons = energy_coulsons([spec.charpoly for spec in specs])
-    diffs = iter([abs(spec.energy - c.value) for spec, c in zip(specs, coulsons)])
-    for census in censuses:
+    for n, e in DUAL_ENERGY_CLASSES:
+        census = get_census(n, e, ctx.cache_dir)
+        rows = list(census_energies(n, census.graphs))
+        # the contour integral sees only the exact polynomials
+        coulsons = energy_coulsons([p for _, p in rows])
         bad = 0
-        for s, diff in zip(census.graphs, diffs):
+        for s, (en, _), c in zip(census.graphs, rows, coulsons):
+            diff = abs(en - c.value)
             worst = max(worst, diff)
             if diff > DUAL_ENERGY_TOL:
                 bad += 1
@@ -484,8 +477,8 @@ def check_dual_energy(ctx: CheckContext) -> list[dict]:
         ev.append(
             {
                 "item": "dual-energy-class",
-                "n": census.n,
-                "e": census.e,
+                "n": n,
+                "e": e,
                 "graphs": len(census),
                 "violations": bad,
                 "ok": bad == 0,

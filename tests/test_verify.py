@@ -83,6 +83,19 @@ class TestRankClass:
         ]
         assert report.ties == ties
 
+    @pytest.mark.parametrize(
+        "n,e,entries",
+        [
+            (1, 0, (("@", 0.0, "b0e4f9bb7b55e4b1"),)),  # no graph6 data bytes
+            (2, 1, (("A_", 2.0, "f33ca27fefbf5e0e"),)),
+            (5, 2, ()),  # no connected graph: no chunk to solve
+        ],
+    )
+    def test_edge_case_classes(self, n, e, entries):
+        report = rank_class(n, e)
+        assert [(x.graph6, x.energy, x.charpoly_digest) for x in report.entries] == list(entries)
+        assert report.ties == ()
+
     def test_ranking_holds_no_whole_census_of_graphs(self):
         # one chunk of graphs and spectra is alive at a time; the 4,495
         # (energy, graph6, polynomial) rows take about 2.2 MiB
