@@ -4,50 +4,59 @@
 per chunk of at most ``_CHUNK`` graphs of one order and answer in input order;
 ``char_poly`` and ``eigenvalues`` are batches of one. The census path,
 ``census_energies(n, strings)``, decodes graph6 strings of one order straight
-into each chunk's int64 stack and keeps only energies and polynomials; it and
+into each chunk's float64 stack and keeps only energies and polynomials; it and
 ``spectra`` share one solve, ``_solve``, with every gate of the eigensolve.
 
 Per chunk, the Faddeev-LeVerrier recurrence
 
     M_1 = A,   M_k = A (M_{k-1} + c_{k-1} I),   c_k = -tr(M_k) / k,
 
-checks c_2 = -e for every graph and takes one of two exact routes.
+runs on the chunk's float64 ``(k, n, n)`` adjacency stack, the one the
+eigensolver reads, and c_2 = -e is checked for every graph. A graph's row is
+accepted only under the certificate
 
-While ``n * 2**n * D**n < 2**62``, where D is the largest degree in the chunk
-(taken as at least 1), it runs on a stacked ``(k, n, n)`` int64 array and also
-checks that each division by k is exact. The bound rules out overflow:
-M_k = sum_{j<k} c_j A^(k-j), every eigenvalue has |lambda| <= D so
-|c_j| = |e_j(lambda)| <= C(n,j) D^j, and entries of A^i are at most D^i. Every
-entry of M_k, of M_k + c_k I, and every partial sum of the non-negative
-combination A @ X is therefore at most D^k sum_j C(n,j) <= 2^n D^n, and a
-trace adds n of them. Orders n <= 9 sit far inside (9 * 2^9 * 8^9 < 2^40);
-n = 62 is outside at any degree.
+    n * max_k (max |M_k| + |c_k|) < 2^53,
 
-Otherwise each graph runs the recurrence modulo the fixed primes p < 2^44 of
-``_PRIMES``, all of them at once on a float64 ``(P, n, n)`` stack of residues,
-and rebuilds each coefficient by the Chinese remainder theorem. The primes
-exceed n, so division by k is multiplication by its inverse mod p. A step
-adds c_{k-1} mod p in [0, p) to the diagonal, multiplies by A and reduces
-with m - p * floor(m / p). Every integer below 2^53 is a float64, so a
-correctly rounded m / p never falls below floor(m / p) and at most reaches
-the next integer: the reduction leaves residues in (-p, p), every entry of
-M_k + c_k I lies in (-p, 2p), and every partial sum of A @ X, in any order,
-adds at most D <= 61 of them, an integer of magnitude below
+read from the computed values. It makes the row exact. Every integer of
+magnitude below 2^53 is a float64, so a sum whose exact value is such an
+integer is computed exactly. Suppose M_{k-1} and c_{k-1} are exact. Then every
+entry of X = M_{k-1} + c_{k-1} I is an integer of magnitude at most
+max |M_{k-1}| + |c_{k-1}|, and every partial sum of A @ X, in any order, adds
+at most n of them with 0/1 weights: an integer below 2^53 by the certificate,
+so M_k is exact. Each partial sum of tr(M_k) adds at most n entries of M_k, and
+n max |M_k| < 2^53, so the trace is exact; it is a multiple of k (``np.fmod``
+checks it on every accepted row), so c_k is exact. M_1 = A and c_1 = 0 are
+exact, and by induction so is every step. The comparison itself is exact:
+rounding is monotone and 2^53 is a float64, so a computed product reaches 2^53
+whenever the true one does. Only accepted rows are cast to int64. Orders
+n <= 9 sit far inside; K45 and every K_{a,b} up to order 62 pass, K46 fails.
+
+A row failing the certificate goes alone through the recurrence modulo the
+fixed primes p < 2^44 of ``_PRIMES``, all of them at once on a float64
+``(P, n, n)`` stack of residues, and rebuilds each coefficient by the Chinese
+remainder theorem. The primes exceed n, so division by k is multiplication by
+its inverse mod p. A step adds c_{k-1} mod p in [0, p) to the diagonal,
+multiplies by A and reduces with m - p * floor(m / p). A correctly rounded
+m / p never falls below floor(m / p) and at most reaches the next integer: the
+reduction leaves residues in (-p, p), every entry of M_k + c_k I lies in
+(-p, 2p), and every partial sum of A @ X, in any order, adds at most
+D <= 61 of them, D the graph's largest degree, an integer of magnitude below
 2 * 61 * 2^44 < 2^51. A trace adds n <= 62 residues, below 2^50. float64
-holds all of them exactly. Since |c_k| <= C(n,k) D^k, the fewest primes whose
-product exceeds 2 max_k C(n,k) D^k, D now the graph's own largest degree,
-fix each c_k as the residue of least magnitude, and one spare prime must
-agree with every rebuilt coefficient, so a wrong residue raises
+holds all of them exactly. Every eigenvalue has |lambda| <= D, so
+|c_k| <= C(n,k) D^k; the fewest primes whose product exceeds
+2 max_k C(n,k) D^k fix each c_k as the residue of least magnitude, and one
+spare prime must agree with every rebuilt coefficient, so a wrong residue raises
 :class:`GraphEnergyError` instead of corrupting the polynomial.
 
 ``spectra`` is the authoritative energy route (symmetric eigensolver); each
 :class:`Spectrum` carries the exact polynomial that gated it, through the
-residual |p(lambda)| of every eigenvalue. ``energy_coulsons`` integrates the
-classical contour formula from the exact coefficients and serves as the
-independent oracle: nothing the eigensolver computes reaches it. It runs one
-masked Gauss-Kronrod pass per chunk of polynomials whose squared modulus has
-one degree, each integral refining until it meets the tolerance or passes
-``_MAX_PANELS`` panels.
+residual |p(lambda)| of every eigenvalue, which Horner's rule evaluates from
+the float64 coefficients together with its condition sum_k |c_k| |lambda|^(n-k).
+``energy_coulsons`` integrates the classical contour formula from the exact
+coefficients and serves as the independent oracle: nothing the eigensolver
+computes reaches it. It runs one masked Gauss-Kronrod pass per chunk of
+polynomials whose squared modulus has one degree, each integral refining until
+it meets the tolerance or passes ``_MAX_PANELS`` panels.
 """
 
 from __future__ import annotations
@@ -80,9 +89,8 @@ class CoulsonEnergy:
     evaluations: int
 
 
-# int64 Faddeev-LeVerrier is exact while n * 2**n * D**n stays below this
-# (proof in the module docstring).
-_INT64_LIMIT = 1 << 62
+# Every integer of magnitude below this is a float64.
+_FLOAT_EXACT = 2.0**53
 # Primes below 2**44 for the modular route, the largest nine of them enough for
 # every graph up to n = 62 (2 max_k C(62,k) 61^k < 2^369 < their product), the
 # tenth a spare; fixed here, as finding them at import costs seconds.
@@ -110,13 +118,13 @@ def _batched(stacked: Callable[[list], list], items: Sequence, size: Callable) -
 
 
 def _adjacency_stack(graphs: list[Graph]) -> np.ndarray:
-    """``(k, n, n)`` 0/1 int64 adjacency matrices, unpacked from the bitset rows."""
+    """``(k, n, n)`` 0/1 float64 adjacency matrices, unpacked from the bitset rows."""
     rows = np.array([g.adj for g in graphs], dtype=np.int64)
-    return (rows[:, :, None] >> np.arange(rows.shape[1])) & 1
+    return ((rows[:, :, None] >> np.arange(rows.shape[1])) & 1).astype(np.float64)
 
 
 def _graph6_stack(n: int, strings: Sequence[str]) -> np.ndarray:
-    """``(k, n, n)`` 0/1 int64 adjacency matrices of bare order-n graph6 strings, in one pass.
+    """``(k, n, n)`` 0/1 float64 adjacency matrices of bare order-n graph6 strings, in one pass.
 
     On a batch failing a size byte, data byte, length or padding check, the
     first string ``graph6_decode`` rejects raises its error; one it accepts (a
@@ -131,7 +139,7 @@ def _graph6_stack(n: int, strings: Sequence[str]) -> np.ndarray:
         data = b[:, 1:] - np.uint8(63)  # a byte below 63 wraps past 63
         bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(k, 6 * (width - 1))
         if (b[:, 0] == 63 + n).all() and (data < 64).all() and not bits[:, nbits:].any():
-            a = np.zeros((k, n, n), dtype=np.int64)
+            a = np.zeros((k, n, n))
             j, i = np.tril_indices(n, -1)  # the column-major upper triangle
             a[:, i, j] = bits[:, :nbits]
             return a + a.transpose(0, 2, 1)
@@ -140,31 +148,11 @@ def _graph6_stack(n: int, strings: Sequence[str]) -> np.ndarray:
     raise GraphEnergyError(f"census strings are not bare graph6 strings of order {n}")
 
 
-def _int64_char_polys(a: np.ndarray) -> list[tuple[int, ...]]:
-    """The recurrence on a stacked ``(k, n, n)`` int64 array, under the overflow bound."""
-    size, n = a.shape[:2]
-    coeffs = np.zeros((size, n + 1), dtype=np.int64)
-    traces = np.zeros((size, n + 1), dtype=np.int64)
-    coeffs[:, 0] = 1
-    m = a.copy()
-    for k in range(2, n + 1):
-        # every n+1-th entry of a contiguous (n, n) block is its diagonal
-        m.reshape(size, n * n)[:, :: n + 1] += coeffs[:, k - 1, None]
-        m = a @ m
-        traces[:, k] = m.reshape(size, n * n)[:, :: n + 1].sum(axis=1)
-        coeffs[:, k] = -(traces[:, k] // k)
-    # an inexact division is reported even if the steps after it went wrong
-    if (traces[:, 2:] % np.arange(2, n + 1)).any():
-        raise GraphEnergyError("characteristic polynomial recurrence lost exactness")
-    return [tuple(c) for c in coeffs.tolist()]
-
-
 def _char_poly_residues(a: np.ndarray, primes: tuple[int, ...]) -> list[list[int]]:
     """c_0..c_n modulo each prime, from the recurrence on a float64 ``(P, n, n)`` residue stack."""
     n = a.shape[0]
     size = len(primes)
     p = np.array(primes, dtype=np.float64)[:, None, None]
-    a = a.astype(np.float64)
     m = np.repeat(a[None], size, axis=0)
     coeffs = [[1, 0] for _ in primes]
     for k in range(2, n + 1):
@@ -177,13 +165,15 @@ def _char_poly_residues(a: np.ndarray, primes: tuple[int, ...]) -> list[list[int
     return coeffs
 
 
-def _modular_char_poly(a: np.ndarray, degree: int) -> tuple[int, ...]:
+def _modular_char_poly(a: np.ndarray) -> tuple[int, ...]:
     """The coefficients of one graph rebuilt by CRT from their residues modulo ``_PRIMES``.
 
-    Takes the fewest primes whose product exceeds 2 max_k C(n,k) D^k, and one
-    spare prime whose residues the rebuilt coefficients must match.
+    Takes the fewest primes whose product exceeds 2 max_k C(n,k) D^k, D the
+    largest degree (taken as at least 1), and one spare prime whose residues
+    the rebuilt coefficients must match.
     """
     n = a.shape[0]
+    degree = max(int(a.sum(axis=1).max()), 1)
     bound = 2 * max(math.comb(n, k) * degree**k for k in range(n + 1))
     used = next(i for i in range(1, len(_PRIMES)) if math.prod(_PRIMES[:i]) > bound)
     primes, spare = _PRIMES[:used], _PRIMES[used]
@@ -200,27 +190,45 @@ def _modular_char_poly(a: np.ndarray, degree: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _stacked_char_polys(a: np.ndarray) -> list[tuple[int, ...]]:
-    """Exact characteristic polynomials of one ``(k, n, n)`` adjacency stack.
+def _stacked_char_polys(a: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Exact characteristic polynomials of one float64 ``(k, n, n)`` adjacency stack.
 
-    Takes the int64 route only under the overflow bound of the module
-    docstring, and the modular route per graph otherwise.
+    Returns them as tuples of Python ints and as a float64 ``(k, n + 1)``
+    array. The float64 recurrence runs on the whole stack; a graph failing
+    the certificate of the module docstring takes the modular route.
     """
-    n = a.shape[1]
-    degree = a.sum(axis=2)
-    degrees = np.maximum(degree.max(axis=1), 1).tolist()
-    if n * 2**n * max(degrees) ** n >= _INT64_LIMIT:
-        polys = [_modular_char_poly(x, d) for x, d in zip(a, degrees)]
-    else:
-        polys = _int64_char_polys(a)
-    if n >= 2 and any(p[2] != -e for p, e in zip(polys, (degree.sum(axis=1) // 2).tolist())):
+    size, n = a.shape[:2]
+    coeffs = np.zeros((size, n + 1))
+    traces = np.zeros((size, n + 1))
+    coeffs[:, 0] = 1
+    peak = np.ones(size)  # max_k (max |M_k| + |c_k|); M_1 = A, c_1 = 0
+    m = a.copy()
+    for k in range(2, n + 1):
+        # every n+1-th entry of a contiguous (n, n) block is its diagonal
+        m.reshape(size, n * n)[:, :: n + 1] += coeffs[:, k - 1, None]
+        m = a @ m
+        traces[:, k] = m.reshape(size, n * n)[:, :: n + 1].sum(axis=1)
+        coeffs[:, k] = -traces[:, k] / k
+        peak = np.maximum(peak, np.abs(m).max(axis=(1, 2)) + np.abs(coeffs[:, k]))
+    exact = n * peak < _FLOAT_EXACT
+    # an inexact division is reported even if the steps after it went wrong
+    if np.fmod(traces[exact, 2:], np.arange(2, n + 1)).any():
+        raise GraphEnergyError("characteristic polynomial recurrence lost exactness")
+    # a failed row may hold inf or NaN: only certified rows are cast
+    polys = list(map(tuple, np.where(exact[:, None], coeffs, 0).astype(np.int64).tolist()))
+    for i in np.flatnonzero(~exact).tolist():
+        polys[i] = _modular_char_poly(a[i])
+        coeffs[i] = polys[i]
+    if n >= 2 and (coeffs[:, 2] != -a.sum(axis=(1, 2)) / 2).any():
         raise GraphEnergyError("characteristic polynomial failed the edge-count identity")
-    return polys
+    return polys, coeffs
 
 
 def char_polys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     """Exact characteristic polynomials of graphs of any orders, in input order."""
-    return _batched(lambda chunk: _stacked_char_polys(_adjacency_stack(chunk)), graphs, lambda g: g.n)
+    return _batched(
+        lambda chunk: _stacked_char_polys(_adjacency_stack(chunk))[0], graphs, lambda g: g.n
+    )
 
 
 def char_poly(g: Graph) -> tuple[int, ...]:
@@ -242,17 +250,15 @@ def _solve(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]], list[float
     condition sum_k |c_k| |lambda|^(n-k), as it does for a wrong polynomial.
     """
     n = a.shape[1]
-    polys = _stacked_char_polys(a)
-    w = np.linalg.eigvalsh(a.astype(np.float64))[:, ::-1]
+    polys, c = _stacked_char_polys(a)
+    w = np.linalg.eigvalsh(a)[:, ::-1]
     e = a.sum(axis=(1, 2)) / 2
     if (np.abs(w.sum(axis=1)) > 1e-9 * n).any():
         raise GraphEnergyError("eigenvalue sum violates trace-zero bound")
     if (np.abs((w * w).sum(axis=1) - 2 * e) > 1e-8 * np.maximum(e, 1)).any():
         raise GraphEnergyError("eigenvalue square-sum violates the degree-sum identity")
-    c = np.array(polys, dtype=np.float64)[:, :, None]
-    powers = w[:, :, None] ** np.arange(n, -1, -1)  # lambda^(n-k), k = 0..n
-    residual = np.abs(powers @ c).max(axis=(1, 2))
-    condition = (np.abs(powers) @ np.abs(c)).max(axis=(1, 2))
+    residual = np.abs(_horner(c, w)).max(axis=1)
+    condition = _horner(np.abs(c), np.abs(w)).max(axis=1)
     if (residual > 1e-10 * condition).any():
         raise GraphEnergyError("eigenvalues are not roots of the characteristic polynomial")
     return w, polys, residual.tolist()

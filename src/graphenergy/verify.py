@@ -84,11 +84,6 @@ class CheckResult:
         return [row for row in self.evidence if not row["ok"]]
 
 
-def _digest_poly(coeffs) -> str:
-    payload = ",".join(str(c) for c in coeffs).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def rank_class(n: int, e: int, cache_dir=None) -> RankReport:
     """Enumerate the class, compute authoritative energies, sort, mark ties.
 
@@ -103,7 +98,11 @@ def rank_class(n: int, e: int, cache_dir=None) -> RankReport:
         for i, (a, b) in enumerate(zip(rows, rows[1:]))
         if b[0] - a[0] <= ENERGY_TIE_TOL
     )
-    entries = tuple(RankedGraph(s, en, _digest_poly(p)) for en, s, p in rows)
+    digest = ",".join(["%d"] * (n + 1))  # a polynomial's comma-separated coefficients
+    entries = tuple(
+        RankedGraph(s, en, hashlib.sha256((digest % p).encode()).hexdigest()[:16])
+        for en, s, p in rows
+    )
     return RankReport(n, e, entries, ties)
 
 

@@ -125,7 +125,7 @@ def decoded_matrix(s):
 def test_census_stack_equals_graph6_decode(graphs):
     strings = [graph6_encode(g) for g in graphs]
     stack = _graph6_stack(graphs[0].n, strings)
-    assert stack.dtype == np.int64
+    assert stack.dtype == np.float64
     assert stack.tolist() == [decoded_matrix(s) for s in strings]
 
 

@@ -1,12 +1,12 @@
-import importlib.util
 import math
 import random
 import re
 import time
-from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphenergy import (
     Graph,
@@ -117,8 +117,8 @@ def char_poly_reference(g):
     return tuple(coeffs)
 
 
-def _no_fallback(a, degree):
-    raise AssertionError("the int64 route was expected")
+def _no_fallback(a):
+    raise AssertionError("the float64 route was expected")
 
 
 @pytest.fixture
@@ -127,7 +127,7 @@ def fallback_calls(monkeypatch):
     calls = []
     modular = spectral_mod._modular_char_poly
     monkeypatch.setattr(
-        spectral_mod, "_modular_char_poly", lambda a, d: calls.append(len(a)) or modular(a, d)
+        spectral_mod, "_modular_char_poly", lambda a: calls.append(len(a)) or modular(a)
     )
     return calls
 
@@ -141,6 +141,23 @@ def _sparse_connected(rng, n, extra):
     return Graph.from_edges(n, edges)
 
 
+def _benchmark_sparse(rng, n):
+    """A graph as the energy-report benchmark draws it: max(n + n // 4, n (n - 1) // 16) edges.
+
+    The same random recursive tree and chords, drawn in the same order, as the
+    benchmark's generator. About one pair in eight is an edge at n = 62, where
+    the coefficients reach about 71 bits; from about n = 48 on, such a graph
+    fails the float64 certificate and takes the modular route.
+    """
+    return _sparse_connected(rng, n, max(n + n // 4, n * (n - 1) // 16) - (n - 1))
+
+
+def _complete_poly(n):
+    # K_n: n - 1 once, -1 with multiplicity n - 1
+    return _poly_from_roots([n - 1] + [-1] * (n - 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBatchedCharPoly:
     @pytest.mark.parametrize("n,e", _BATCH_CLASSES)
     def test_int64_batch_equals_python_recurrence(self, n, e, monkeypatch):
@@ -153,38 +170,45 @@ class TestBatchedCharPoly:
         assert all(type(c) is int for p in got for c in p)
 
     def test_guard_boundary_on_complete_graphs(self, fallback_calls):
-        # K12: 12 * 2^12 * 11^12 < 2^62 stays on int64; K13 is past the bound
-        for n in (12, 13, 20, 62):
-            want = _poly_from_roots([n - 1] + [-1] * (n - 1))
-            assert char_poly(make_complete(n)) == want
-        assert fallback_calls == [13, 20, 62]
+        # K45 passes the certificate and stays on the float64 stack; K46 is past it
+        for n in (12, 45, 46, 62):
+            assert char_poly(make_complete(n)) == _complete_poly(n)
+        assert fallback_calls == [46, 62]
 
     def test_complete_bipartite_past_the_bound(self, fallback_calls):
-        # K31,31: eigenvalues 31 and -31 once, 0 sixty times
-        assert char_poly(family_graph("Kb 31 31")) == _poly_from_roots([31, -31] + [0] * 60)
+        # K31,31: eigenvalues 31 and -31 once, 0 sixty times; it passes the
+        # certificate, and the modular route, run on its own, agrees
+        g = family_graph("Kb 31 31")
+        want = _poly_from_roots([31, -31] + [0] * 60)
+        assert char_poly(g) == want
+        assert fallback_calls == []
+        assert spectral_mod._modular_char_poly(spectral_mod._adjacency_stack([g])[0]) == want
         assert fallback_calls == [62]
 
     def test_sparse_large_graphs_fall_back_and_match_sympy(self, fallback_calls):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(40)
-        g40, g62 = _sparse_connected(rng, 40, 6), _sparse_connected(rng, 62, 4)
-        got = [char_poly(g40), char_poly(g62)]
-        assert fallback_calls == [40, 62]
+        g51, g62 = _benchmark_sparse(rng, 51), _benchmark_sparse(rng, 62)
+        got = [char_poly(g51), char_poly(g62)]
+        assert fallback_calls == [51, 62]
         x = sympy.Symbol("x")
-        for g, p in zip((g40, g62), got):
+        for g, p in zip((g51, g62), got):
             want = sympy.Matrix(adjacency_matrix(g).astype(int)).charpoly(x).all_coeffs()
             assert p == tuple(int(c) for c in want)
 
     def test_mixed_orders_in_input_order(self, fallback_calls):
-        # 814 graphs cross several chunks of one order; the sparse n = 20 and
-        # n = 62 graphs take the modular route in the same call
+        # 814 graphs cross several chunks of one order; in the same call the
+        # sparse n = 20 and n = 62 graphs stay on the float64 stack, and the
+        # denser n = 62 graph and K46 take the modular route, the first from
+        # the same chunk as the sparse n = 62 graph
         rng = random.Random(11)
         graphs = [graph6_decode(s) for s in enumerate_connected(8, 11).graphs]
-        graphs += [make_complete(4), make_cycle(5)]
+        graphs += [make_complete(4), make_cycle(5), make_complete(46)]
         graphs += [_sparse_connected(rng, n, 3) for n in (20, 62, 20)]
+        graphs.append(_benchmark_sparse(rng, 62))
         rng.shuffle(graphs)
         got_polys = char_polys(graphs)
-        assert sorted(fallback_calls) == [20, 20, 62]
+        assert sorted(fallback_calls) == [46, 62]
         got_spectra = spectra(graphs)
         assert got_polys == [char_poly(g) for g in graphs]
         assert got_spectra == [eigenvalues(g) for g in graphs]
@@ -192,14 +216,14 @@ class TestBatchedCharPoly:
         assert char_polys([]) == [] and spectra([]) == []
 
     def test_polynomials_are_tuples_of_python_ints_on_both_routes(self, fallback_calls):
-        # a member of (9,12) takes the int64 stack, a 40-vertex graph the modular route
+        # a member of (9,12) takes the float64 stack, K46 the modular route
         g9 = graph6_decode(enumerate_connected(9, 12).graphs[0])
-        g40 = _sparse_connected(random.Random(3), 40, 5)
-        for g in (g9, g40):
+        g46 = make_complete(46)
+        for g in (g9, g46):
             for p in (char_poly(g), char_polys([g])[0], spectra([g])[0].charpoly,
                       b_coeffs(char_poly(g)), poly_mul(char_poly(g), char_poly(g))):
                 assert type(p) is tuple and all(type(c) is int for c in p)
-        assert set(fallback_calls) == {40}  # (9,12) stayed on int64
+        assert set(fallback_calls) == {46}  # (9,12) stayed on float64
         p = closed_form_charpoly(9, 12)
         assert type(p) is tuple and all(type(c) is int for c in p)
 
@@ -224,7 +248,7 @@ class TestBatchedCharPoly:
 
         monkeypatch.setattr(spectral_mod, "_char_poly_residues", corrupt)
         with pytest.raises(GraphEnergyError, match="spare prime"):
-            char_poly(make_complete(20))
+            char_poly(make_complete(46))
 
     def test_residues_agreeing_on_a_wrong_c2_fail_closed(self, monkeypatch):
         # c_2 shifted by one modulo every prime: the spare agrees, c_2 = -e does not
@@ -238,24 +262,49 @@ class TestBatchedCharPoly:
 
         monkeypatch.setattr(spectral_mod, "_char_poly_residues", shifted)
         with pytest.raises(GraphEnergyError, match="edge-count identity"):
-            char_poly(make_complete(20))
+            char_poly(make_complete(46))
 
-    def test_benchmark_sparse_graphs_and_k62_within_a_second(self):
+    def test_benchmark_sparse_graphs_and_k62_within_a_second(self, fallback_calls):
         # the 12 sparse graphs, n = 20..62, that the energy-report benchmark
-        # adds for seed 1, built by the benchmark's own generator
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-        spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-        reference = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(reference)
+        # adds for seed 1: those up to n = 43 pass the certificate, the five
+        # from n = 47 on and K62 fail it and take the modular route
         rng = random.Random(1)
-        graphs = [graph6_decode(reference.random_sparse_graph6(rng, 20 + round(i * 42 / 11)))
-                  for i in range(12)]
+        graphs = [_benchmark_sparse(rng, 20 + round(i * 42 / 11)) for i in range(12)]
         start = time.perf_counter()
         got = char_polys(graphs + [make_complete(62)])
         elapsed = time.perf_counter() - start
+        assert sorted(fallback_calls) == [47, 51, 54, 58, 62, 62]
         assert got[:-1] == [char_poly_reference(g) for g in graphs]
-        assert got[-1] == _poly_from_roots([61] + [-1] * 61)
+        assert got[-1] == _complete_poly(62)
         assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+    def test_float_stack_on_both_sides_of_the_certificate(self, fallback_calls):
+        # K40..K62 and K31,31 in one call: K40..K45 and K31,31 stay on the
+        # float64 stack, K46..K62 take the modular route
+        graphs = [make_complete(n) for n in range(40, 63)] + [family_graph("Kb 31 31")]
+        got = char_polys(graphs)
+        assert got[:-1] == [_complete_poly(n) for n in range(40, 63)]
+        assert got[-1] == _poly_from_roots([31, -31] + [0] * 60)
+        assert sorted(fallback_calls) == list(range(46, 63))
+
+    @given(st.builds(
+        lambda n, p, seed: _rand(random.Random(seed), n, p),
+        st.integers(2, 30), st.floats(0, 1), st.integers(0, 2**32),
+    ))
+    @example(make_complete(30))
+    @settings(max_examples=30, deadline=None)
+    def test_float_stack_equals_python_recurrence_up_to_order_30(self, g):
+        # densities from empty to complete, every one on the float64 stack
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral_mod, "_modular_char_poly", _no_fallback)
+            assert char_polys([g]) == [char_poly_reference(g)]
+
+    def test_without_the_certificate_k62_loses_exactness(self, monkeypatch):
+        # K62 on the float64 stack: its traces pass 2^53, and a wrong one
+        # fails the exact-division check
+        monkeypatch.setattr(spectral_mod, "_FLOAT_EXACT", math.inf)
+        with pytest.raises(GraphEnergyError, match="lost exactness"):
+            char_poly(make_complete(62))
 
 
 def _rand(rng, n, p=0.5):
@@ -319,7 +368,8 @@ class TestSpectrum:
         off_by_one = good[:-1] + (good[-1] + 1,)
         for wrong in (char_poly(make_s_graph(6, 6)), off_by_one):
             monkeypatch.setattr(
-                spectral_mod, "_stacked_char_polys", lambda graphs: [wrong] * len(graphs)
+                spectral_mod, "_stacked_char_polys",
+                lambda a: ([wrong] * len(a), np.array([wrong] * len(a), dtype=np.float64)),
             )
             with pytest.raises(GraphEnergyError):
                 eigenvalues(g)
