@@ -1,50 +1,31 @@
 """Isomorph-free enumeration of connected (n,e)-graphs with an on-disk cache.
 
-Two independent generation strategies back every census:
+One generator builds every census: grow connected graphs one vertex (plus
+its neighbourhood) at a time, deduplicating each level by canonical form
+from the refinement-based labeller. Neighbourhoods in one orbit of the
+automorphisms the labeller found for the parent give isomorphic children, so
+one per orbit is canonicalised (McKay's isomorph rejection). Before that
+search, a child is kept only when no non-cut vertex has a lower degree than
+its new vertex (McKay's canonical deletion, as a cheap necessary test). No
+class is lost: a connected H on k + 1 vertices has a non-cut vertex; take v,
+one of minimum degree. H - v is connected, with at most e - (n - k) edges, so
+level k holds it. The orbit representative that yields H maps the new vertex
+onto an image of v, and "non-cut vertex of minimum degree" does not depend on
+the labelling, so that child passes. The last level takes every
+neighbourhood size that keeps the edge count within e, so a walk towards
+(n, e) fills every class (n, m <= e).
 
-* ``edge``: orderly generation, the independent oracle that the tests hold
-  the default against. Graphs are grown one edge at a time in a fixed
-  column-major pair order; a child is kept only when its labelled adjacency
-  code is maximal over all relabellings, and removing the last set bit of a
-  maximal code provably yields a maximal code again, so every isomorphism
-  class is produced exactly once with no stored dedup.
-  A walk towards (n, e) emits every connected graph it passes, so it fills
-  every class (n, m <= e) at once. The max-code test (Read, 1978) is one
-  walk that places a relabelling one vertex at a time, and whose first
-  path, the identity, is a node like any other. Any other leaf is an
-  automorphism: the walk backjumps from it to the first path and there
-  skips children in an orbit of an explored sibling (the first-path pruning
-  of McKay & Piperno, "Practical graph isomorphism II", 2014). Both are
-  sound: an automorphism that fixes the prefix and maps d to w maps the
-  explored subtree of d onto that of w code for code, and in DFS order
-  every automorphism found so far fixes the current identity prefix.
-* ``vertex`` (default): grow connected graphs one vertex (plus its
-  neighbourhood) at a time, deduplicating each level by canonical form from
-  the refinement-based labeller. Neighbourhoods in one orbit of the
-  automorphisms the labeller found for the parent give isomorphic children,
-  so one per orbit is canonicalised (McKay's isomorph rejection). Before
-  that search, a child is kept only when no non-cut vertex has a lower
-  degree than its new vertex (McKay's canonical deletion, as a cheap
-  necessary test). No class is lost: a connected H on k + 1 vertices has a
-  non-cut vertex; take v, one of minimum degree. H - v is connected, with
-  at most e - (n - k) edges, so level k holds it. The orbit representative
-  that yields H maps the new vertex onto an image of v, and "non-cut vertex
-  of minimum degree" does not depend on the labelling, so that child
-  passes. The last level takes every neighbourhood size that keeps the
-  edge count within e, so a walk towards (n, e), like an edge walk, fills
-  every class (n, m <= e). Shares no isomorphism machinery with the orderly
-  path.
-
-The tests also match every class with n <= 7 one-to-one against the connected
-graphs of "An Atlas of Graphs" (Read & Wilson), as shipped with networkx, using
-its VF2 isomorphism test.
+The tests hold this walk against Read's orderly edge walk (``tests/orderly.py``),
+which shares no isomorphism machinery with it, on every pin and every
+non-empty class with n <= 9, and match every class with n <= 7 one-to-one
+against the connected graphs of "An Atlas of Graphs" (Read & Wilson), as
+shipped with networkx, using its VF2 isomorphism test.
 
 Census members are canonical graph6 strings, sorted, so cache files diff
-cleanly and reports are stable. Both strategies walk towards the requested
-(n, e) and return every class they complete on the way; one memo, keyed by
-class, holds them all. ``PINNED`` freezes the count and digest of every
-class the checks rank or count; a cache load and the ``census`` check
-compare with it.
+cleanly and reports are stable. The walk goes towards the requested (n, e)
+and returns every class it completes on the way; one memo, keyed by class,
+holds them all. ``PINNED`` freezes the count and digest of every class the
+checks rank or count; a cache load and the ``census`` check compare with it.
 """
 
 from __future__ import annotations
@@ -59,7 +40,7 @@ from pathlib import Path
 from .canon import _canonical_rows_autos, canonical_g6
 from .errors import CacheMissError, CorruptCacheError, Graph6ParseError, ScaleError
 from .graph6 import encode_rows, graph6_decode
-from .graphs import Graph, bit_indices, dsu_find, reach
+from .graphs import Graph, bit_indices, reach
 
 GENERATOR_VERSION = "graphenergy-census/1"
 
@@ -68,8 +49,8 @@ MAX_ENUM_EXCESS = 3  # e <= n + 3
 
 # (n, e) -> (member count, census_digest of the sorted canonical strings) for
 # the 17 classes of the bicyclic, tricyclic and tetracyclic theorems plus
-# (4,4) and (5,5). Frozen after edge/vertex strategy agreement; the counts
-# match OEIS A054924. A census that differs from its pin is wrong, whatever
+# (4,4) and (5,5). Frozen when the vertex walk and the orderly edge walk
+# agreed on them; the counts match OEIS A054924. A census that differs from its pin is wrong, whatever
 # produced it.
 PINNED = {
     (4, 4): (2, "e70d0519e357d24966e186465cffca5e8f845533f09199ea76820f0641eb8bec"),
@@ -109,117 +90,6 @@ class GraphClassCensus:
 
     def members(self) -> list[Graph]:
         return [graph6_decode(s) for s in self.graphs]
-
-
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def _column_values(rows: list[int], n: int) -> list[int]:
-    cols = [0] * n
-    for j in range(1, n):
-        v = 0
-        for i in range(j):
-            v = v << 1 | (rows[i] >> j & 1)
-        cols[j] = v
-    return cols
-
-
-def _is_max_code(rows: list[int], n: int) -> bool:
-    """True iff no relabelling gives a lexicographically larger column code.
-
-    ``walk`` places a relabelling one vertex at a time. An unplaced vertex is
-    a candidate for the next position when its code against the prefix equals
-    that position's column; a larger code is an improving relabelling, and
-    the walk returns False from any depth. A node's identity child places
-    ``x == depth``. Off the first path a leaf is an automorphism, returned
-    straight up to the first path and merged into ``orbits`` there.
-    """
-    cols = _column_values(rows, n)
-    # early out, so that most failing tests build no lists: on the first
-    # path, vertex w >= d has the top d bits of its column as its code
-    for d in range(n):
-        col = cols[d]
-        for w in range(d + 1, n):
-            if cols[w] >> (w - d) > col:
-                return False
-    orbits = list(range(n))  # union-find over every automorphism found so far
-
-    def walk(cands: list[tuple[int, int]], placed: list[int], first: bool):
-        # cands: (unplaced vertex, its code against placed). False on an
-        # improving relabelling; off the first path the automorphism found, else None.
-        depth = len(placed)
-        if depth == n:
-            return None if first else tuple(placed)
-        target = cols[depth]
-        equals = []
-        for w, v in cands:
-            if v > target:
-                return False
-            if v == target:
-                equals.append(w)
-        explored: list[int] = []
-        for x in equals:
-            if first:
-                rx = dsu_find(orbits, x)
-                if any(dsu_find(orbits, u) == rx for u in explored):
-                    continue
-                explored.append(x)
-            r = rows[x]
-            placed.append(x)
-            found = walk(
-                [(w, v << 1 | (r >> w & 1)) for w, v in cands if w != x],
-                placed,
-                first and x == depth,
-            )
-            placed.pop()
-            if found is None:
-                continue
-            if found is False or not first:
-                return found
-            for i, p in enumerate(found):  # an automorphism: merge its orbits
-                orbits[dsu_find(orbits, i)] = dsu_find(orbits, p)
-        return None
-
-    return walk([(w, 0) for w in range(n)], [], True) is None
-
-
-def _generate_orderly(n: int, e: int) -> dict[tuple[int, int], list[str]]:
-    """Every class (n, m <= e) as canonical graph6.
-
-    One walk towards e fills every class on the way: a connected graph with
-    m <= e edges has only max-code ancestors with c components and m' edges
-    where c - 1 <= m - m', so the component prune never cuts it off. Below
-    n - 1 edges the prune cuts every child of the root, and each class is empty.
-    """
-    pairs = _pair_order(n)
-    total_pairs = len(pairs)
-    out: dict[tuple[int, int], list[str]] = {(n, m): [] for m in range(e + 1)}
-
-    def extend(rows: list[int], m: int, last: int, parent: list[int], comps: int):
-        if comps == 1:
-            out[n, m].append(canonical_g6(n, rows))
-        if m == e:
-            return
-        for p in range(last + 1, total_pairs):
-            i, j = pairs[p]
-            ri, rj = dsu_find(parent, i), dsu_find(parent, j)
-            new_comps = comps - (ri != rj)
-            # every edge still to come can join at most two components
-            if new_comps - 1 > e - m - 1:
-                continue
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            if _is_max_code(rows, n):
-                child_parent = parent.copy()
-                if ri != rj:
-                    child_parent[ri] = rj
-                extend(rows, m + 1, p, child_parent, new_comps)
-            rows[i] &= ~(1 << j)
-            rows[j] &= ~(1 << i)
-
-    extend([0] * n, 0, -1, list(range(n)), n)
-    return out
 
 
 def _last_is_min_non_cut(rows) -> bool:
@@ -305,9 +175,6 @@ def _generate_vertex_aug(n: int, e: int) -> dict[tuple[int, int], list[str]]:
     return out
 
 
-_STRATEGIES = {"edge": _generate_orderly, "vertex": _generate_vertex_aug}
-
-
 def _check_envelope(n: int, e: int) -> None:
     if n < 1 or n > MAX_ENUM_VERTICES:
         raise ScaleError(
@@ -319,30 +186,27 @@ def _check_envelope(n: int, e: int) -> None:
         )
 
 
-# (n, e, strategy) -> census, for every class any walk has completed
-_memo: dict[tuple[int, int, str], GraphClassCensus] = {}
+# (n, e) -> census, for every class any walk has completed
+_memo: dict[tuple[int, int], GraphClassCensus] = {}
 
 
-def enumerate_connected(n: int, e: int, *, strategy: str = "vertex") -> GraphClassCensus:
+def enumerate_connected(n: int, e: int) -> GraphClassCensus:
     """Census of connected (n,e)-graphs, one canonical representative each.
 
     Supported envelope: n <= 10 and e <= n + 3. Larger requests fail loudly
-    rather than truncating. Both strategies walk towards (n, e), and the memo
-    keeps every class the walk completes: both fill every (n, m <= e), and
-    ``vertex`` also completes every class its levels k < n hold.
-    ``enumerate_connected.cache_clear()`` drops the memo.
+    rather than truncating. The vertex walk goes towards (n, e), and the memo
+    keeps every class the walk completes: every (n, m <= e) and every class
+    its levels k < n hold. ``enumerate_connected.cache_clear()`` drops the memo.
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     _check_envelope(n, e)
-    if (n, e, strategy) not in _memo:
+    if (n, e) not in _memo:
         now = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-        for (k, m), found in _STRATEGIES[strategy](n, e).items():
+        for (k, m), found in _generate_vertex_aug(n, e).items():
             strings = tuple(sorted(found))
             if len(set(strings)) != len(strings):
                 raise RuntimeError(f"duplicate canonical forms in ({k},{m}) census")
-            _memo[k, m, strategy] = GraphClassCensus(k, m, strings, now, GENERATOR_VERSION)
-    return _memo[n, e, strategy]
+            _memo[k, m] = GraphClassCensus(k, m, strings, now, GENERATOR_VERSION)
+    return _memo[n, e]
 
 
 enumerate_connected.cache_clear = _memo.clear

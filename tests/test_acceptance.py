@@ -56,8 +56,8 @@ def test_criterion_1_census_counts(monkeypatch):
             for row in result.evidence
         )
     # one vertex walk, towards (9,12), fills all 19; the edge walk is the
-    # tests' oracle (test_census), not the check's
-    assert walks == {"edge": [], "vertex": [(9, 12)]}
+    # tests' oracle (tests/orderly.py), not the check's
+    assert walks == [(9, 12)]
 
 
 def test_criterion_2_reference_energies():
@@ -102,7 +102,7 @@ def test_criterion_5_tetracyclic_theorem(monkeypatch):
         [result] = run_checks(["tetracyclic"])
         assert result.passed, result.failures()
         assert result.runtime < 600, f"took {result.runtime:.1f}s"
-    assert walks == {"edge": [], "vertex": [(9, 12)]}
+    assert walks == [(9, 12)]
 
 
 def test_criterion_6_closed_forms_exact():

@@ -30,13 +30,13 @@ from graphenergy.census import (
     GENERATOR_VERSION,
     PINNED,
     census_digest,
-    _generate_orderly,
     _generate_vertex_aug,
-    _is_max_code,
     _vertex_levels,
 )
 from graphenergy.graphs import bit_indices, relabel_rows
 
+import orderly
+from orderly import _generate_orderly, _is_max_code, edge_census
 from test_graphs import adjacency_matrix
 
 KNOWN = {
@@ -83,14 +83,15 @@ def test_known_counts(n, e):
     assert len(enumerate_connected(n, e)) == KNOWN[(n, e)]
 
 
-# largest e first, so that a cold memo makes one vertex walk, towards (9,12),
+# largest e first, so that cold memos make one vertex walk, towards (9,12),
 # and one edge walk per order
 @pytest.mark.parametrize("n,e", sorted(PINNED_CENSUSES, reverse=True))
 def test_census_bytes_are_pinned(n, e):
     want = PINNED_CENSUSES[(n, e)]
-    for strategy in ("vertex", "edge"):
-        census = enumerate_connected(n, e, strategy=strategy)
-        assert (len(census), census_digest(census.graphs)) == want, strategy
+    census = enumerate_connected(n, e)
+    assert (len(census), census_digest(census.graphs)) == want, "vertex"
+    strings = edge_census(n, e)
+    assert (len(strings), census_digest(strings)) == want, "edge"
 
 
 def test_library_pins_equal_the_literal_pins():
@@ -112,33 +113,29 @@ def test_strategies_agree_through_n6():
     # largest e first: one edge walk per order fills the rest of it
     for n in range(1, 7):
         for e in range(n + 3, max(0, n - 1) - 1, -1):
-            edge = enumerate_connected(n, e, strategy="edge").graphs
-            assert edge == enumerate_connected(n, e).graphs, (n, e)
+            assert edge_census(n, e) == enumerate_connected(n, e).graphs, (n, e)
 
 
 def test_strategies_agree_at_n7():
     for e in range(10, 5, -1):
-        edge = enumerate_connected(7, e, strategy="edge").graphs
-        assert edge == enumerate_connected(7, e).graphs, e
+        assert edge_census(7, e) == enumerate_connected(7, e).graphs, e
 
 
 def test_strategies_agree_at_n8():
     for e in range(11, 6, -1):
-        edge = enumerate_connected(8, e, strategy="edge").graphs
-        assert edge == enumerate_connected(8, e).graphs, e
+        assert edge_census(8, e) == enumerate_connected(8, e).graphs, e
 
 
 def test_strategies_agree_at_n9():
     # the trees and unicyclic graphs too, which both walks towards (9,12) fill
     for e in range(12, 7, -1):
-        edge = enumerate_connected(9, e, strategy="edge").graphs
-        assert edge == enumerate_connected(9, e).graphs, e
+        assert edge_census(9, e) == enumerate_connected(9, e).graphs, e
 
 
 @pytest.mark.parametrize("n,e", [(1, 0), (7, 10)])
 def test_both_walks_return_the_classes_of_their_order(n, e):
     # one contract: a walk towards (n, e) returns every class (n, m <= e), with
-    # the same members from either strategy; the vertex walk adds lower orders
+    # the same members from either walk; the vertex walk adds lower orders
     edge = _generate_orderly(n, e)
     vertex = _generate_vertex_aug(n, e)
     assert sorted(edge) == [key for key in sorted(vertex) if key[0] == n]
@@ -147,42 +144,55 @@ def test_both_walks_return_the_classes_of_their_order(n, e):
         assert sorted(strings) == sorted(vertex[key]), key
 
 
-def count_walks(monkeypatch) -> dict:
-    """Record each walk of either strategy, as (n, e), under its name."""
-    walks = {strategy: [] for strategy in census_module._STRATEGIES}
-    for strategy, generate in list(census_module._STRATEGIES.items()):
-        monkeypatch.setitem(
-            census_module._STRATEGIES,
-            strategy,
-            lambda n, e, s=strategy, g=generate: walks[s].append((n, e)) or g(n, e),
-        )
+def count_walks(monkeypatch) -> list:
+    """Record each walk of the census generator, the vertex walk, as (n, e)."""
+    walks = []
+    generate = census_module._generate_vertex_aug
+    monkeypatch.setattr(
+        census_module, "_generate_vertex_aug", lambda n, e: walks.append((n, e)) or generate(n, e)
+    )
     return walks
 
 
-def test_edge_walk_goes_as_far_as_asked(monkeypatch):
+def test_vertex_walk_goes_as_far_as_asked(monkeypatch):
     # a fresh memo, so the walks are counted whatever ran before
     walks = count_walks(monkeypatch)
     monkeypatch.setattr(census_module, "_memo", {})
-
-    def edge(n, e):
-        return enumerate_connected(n, e, strategy="edge")
-
-    census = edge(8, 9)
+    census = enumerate_connected(8, 9)
     assert (len(census), census_digest(census.graphs)) == PINNED_CENSUSES[(8, 9)]
-    # the walk towards (8,9) filled every class of order 8 up to e = 9
-    assert [len(edge(8, m)) for m in range(10)] == [0] * 7 + [23, 89, 236]
-    assert enumerate_connected(8, 9).graphs == census.graphs
-    assert walks == {"edge": [(8, 9)], "vertex": [(8, 9)]}
+    # the walk towards (8,9) filled every class of order 8 up to e = 9, and
+    # its level 7 every 7-vertex class up to e = 8
+    assert [len(enumerate_connected(8, m)) for m in range(10)] == [0] * 7 + [23, 89, 236]
+    assert len(enumerate_connected(7, 6)) == 11
+    assert walks == [(8, 9)]
     # a larger e takes a new walk, and that one fills the classes in between
-    censuses = [edge(8, e) for e in (11, 10)]
-    assert walks["edge"] == [(8, 9), (8, 11)]
+    censuses = [enumerate_connected(8, e) for e in (11, 10)]
+    assert walks == [(8, 9), (8, 11)]
     for c in censuses:
         assert (len(c), census_digest(c.graphs)) == PINNED_CENSUSES[(8, c.e)]
+    # too few edges to connect: no level of an earlier walk holds (7,2), and
+    # its own walk is at once an empty answer
+    assert enumerate_connected(7, 2).graphs == ()
+    assert walks == [(8, 9), (8, 11), (7, 2)]
+
+
+def test_edge_walk_goes_as_far_as_asked(monkeypatch):
+    # the oracle's memo keeps every class (n, m <= e) of its walk too
+    walks = []
+    generate = orderly._generate_orderly
+    monkeypatch.setattr(
+        orderly, "_generate_orderly", lambda n, e: walks.append((n, e)) or generate(n, e)
+    )
+    monkeypatch.setattr(orderly, "_memo", {})
+    strings = edge_census(8, 9)
+    assert (len(strings), census_digest(strings)) == PINNED_CENSUSES[(8, 9)]
+    assert [len(edge_census(8, m)) for m in range(10)] == [0] * 7 + [23, 89, 236]
+    assert walks == [(8, 9)]
     # too few edges to connect: the component prune cuts every child of the
     # root, so the walk is at once an empty answer
-    assert edge(7, 2).graphs == ()
-    assert len(edge(7, 6)) == 11
-    assert walks["edge"] == [(8, 9), (8, 11), (7, 2), (7, 6)]
+    assert edge_census(7, 2) == ()
+    assert len(edge_census(7, 6)) == 11
+    assert walks == [(8, 9), (7, 2), (7, 6)]
 
 
 def test_edge_walk_stops_at_the_requested_e():
@@ -395,10 +405,6 @@ def test_envelope_errors_fail_loudly():
         enumerate_connected(6, 10)  # e > n+3
     with pytest.raises(ScaleError):
         enumerate_connected(0, 0)
-    with pytest.raises(ValueError):
-        enumerate_connected(5, 5, strategy="psychic")
-    with pytest.raises(ValueError):
-        enumerate_connected(5, 5, strategy="filter")
 
 
 def _assert_canonical_members(strings, n, e):
@@ -436,14 +442,11 @@ def test_vertex_walk_completes_every_lower_class():
     # each vertex still to come needs an edge, so level k < 7 of a walk
     # towards (7, 10) holds every connected k-vertex graph with <= k + 3 edges
     by_class = _generate_vertex_aug(7, 10)
-    lower = [
-        (k, m) for k in range(1, 7) for m in range(k + 4)
-        if enumerate_connected(k, m, strategy="edge").graphs
-    ]
+    lower = [(k, m) for k in range(1, 7) for m in range(k + 4) if edge_census(k, m)]
     assert len(lower) == 18
     assert sorted(by_class) == lower + [(7, m) for m in range(11)]
     for (n, e), strings in by_class.items():
-        assert sorted(strings) == list(enumerate_connected(n, e, strategy="edge").graphs), (n, e)
+        assert tuple(sorted(strings)) == edge_census(n, e), (n, e)
 
 
 def test_determinism_across_runs():

@@ -297,7 +297,21 @@ class TestEnumerate:
         assert "cache" in err.lower() or "digest" in err.lower()
 
 
+# sha256 of `--format json rank n e --top 100000`, every member of the class
+RANK_JSON_SHA256 = {
+    (9, 12): "ea48b57e4838ca685eff7844062dd556b0d6188be5587fe091af5ce155495fe1",
+    (8, 11): "da43fea417b1334b3b0ff89497e5ece58214330b3fb839ff3a93eaa20b8c3dfa",
+    (5, 8): "73a485076e6fe5b791dfe2f013e533b74a46bf815c5fe23253502e90ab65f50e",
+}
+
+
 class TestRank:
+    @pytest.mark.parametrize("n, e", sorted(RANK_JSON_SHA256))
+    def test_json_ranking_is_byte_stable(self, capsys, n, e):
+        code, out, _ = run(capsys, "--format", "json", "rank", str(n), str(e), "--top", "100000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RANK_JSON_SHA256[n, e]
+
     def test_top_two_of_7_8(self, capsys):
         from graphenergy import canonical_label, family_graph
 

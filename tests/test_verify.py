@@ -135,6 +135,21 @@ class TestRankClass:
                 assert gap is None or gap > 1e-3
 
 
+# sha256 of the default run's `--format json verify` evidence with every
+# runtime_seconds removed; a change means some evidence byte moved
+VERIFY_JSON_SHA256 = "fb7010c3b438b910352dd91ac4a06c97b5c114d9ac5ec128946b542b8b4046f3"
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    """The walks made and the results of all nine checks (seed 1729, 20 trials)."""
+    with pytest.MonkeyPatch.context() as mp:
+        walks = count_walks(mp)
+        mp.setattr(census_mod, "_memo", {})
+        results = run_checks(ctx=CheckContext(trials=20))
+    return walks, results
+
+
 class TestChecks:
     def test_theorem_checks_make_one_walk(self, monkeypatch):
         # without the census check, one vertex walk, towards the largest class
@@ -143,15 +158,22 @@ class TestChecks:
         monkeypatch.setattr(census_mod, "_memo", {})
         results = run_checks(["bicyclic", "tricyclic", "tetracyclic"])
         assert all(result.passed for result in results)
-        assert walks == {"edge": [], "vertex": [(9, 12)]}
+        assert walks == [(9, 12)]
 
-    def test_default_run_makes_one_vertex_walk(self, monkeypatch):
+    def test_default_run_makes_one_vertex_walk(self, default_run):
         # all nine checks, as `verify` runs them: the census check's walk
-        # fills every class the later checks read, and no check walks edges
-        walks = count_walks(monkeypatch)
-        monkeypatch.setattr(census_mod, "_memo", {})
-        assert all(result.passed for result in run_checks(ctx=CheckContext(trials=20)))
-        assert walks == {"edge": [], "vertex": [(9, 12)]}
+        # fills every class the later checks read
+        walks, results = default_run
+        assert all(result.passed for result in results)
+        assert walks == [(9, 12)]
+
+    def test_verify_json_evidence_is_byte_stable(self, default_run):
+        _, results = default_run
+        payload = json.loads(render_json(results))
+        for check in payload:
+            del check["runtime_seconds"]
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON_SHA256
 
     def test_closed_forms_pass(self):
         [result] = run_checks(["closed-forms"])
