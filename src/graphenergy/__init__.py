@@ -52,7 +52,6 @@ from .spectral import (
     char_poly,
     char_polys,
     closed_form_charpoly,
-    eigenvalues,
     energy,
     energy_coulsons,
     spectra,
@@ -92,7 +91,6 @@ __all__ = [
     "closed_form_charpoly",
     "delete_edges",
     "disjoint_union",
-    "eigenvalues",
     "energy",
     "energy_coulsons",
     "enumerate_connected",

@@ -87,24 +87,30 @@ def _individualize(colors: list[int], v: int) -> list[int]:
     return out
 
 
-def _canonical_search(rows, n: int):
+def _canonical_search(rows, n: int, root=None):
     """Return (cert, perm, autos, group_order) over the refinement tree of adjacency ``rows``.
 
     ``cert`` is the least relabelled adjacency over all leaves and ``perm``
     the first leaf giving it (vertex v goes to ``perm[v]``); ``autos``
-    generate the automorphism group, of order ``group_order``.
+    generate the automorphism group, of order ``group_order``. ``root``, when
+    given, is ``(nbrs, colors, cell)``: the neighbour lists of ``rows`` and
+    what ``_refine`` returns for them from the uniform colouring, which the
+    search then does not refine again.
     """
-    nbrs = [bit_indices(row) for row in rows]
+    if root is None:
+        nbrs = [bit_indices(row) for row in rows]
+        root = nbrs, *_refine(nbrs, n, [0] * n)
+    nbrs, root_colors, root_cell = root
     first: list = []  # cert, perm of the first leaf
     best: list = []
     autos: list[tuple[int, ...]] = []
     base: list[int] = []
     order = 1
 
-    def dfs(colors: list[int], on_first: bool) -> bool:
-        # True: this subtree found an automorphism; unwind to the first path
+    def dfs(colors: list[int], cell: list[int] | None, on_first: bool) -> bool:
+        # the node's equitable colouring and first non-singleton cell; True:
+        # this subtree found an automorphism; unwind to the first path
         nonlocal order
-        colors, cell = _refine(nbrs, n, colors)
         if cell is None:
             # a discrete colouring is a permutation: vertex v goes to colors[v]
             cert, perm = relabel_rows(nbrs, colors), tuple(colors)
@@ -126,7 +132,7 @@ def _canonical_search(rows, n: int):
                 continue
             explored.append(v)
             base.append(v)
-            found = dfs(_individualize(colors, v), on_first and v == cell[0])
+            found = dfs(*_refine(nbrs, n, _individualize(colors, v)), on_first and v == cell[0])
             base.pop()
             if found and not on_first:
                 return True
@@ -140,18 +146,18 @@ def _canonical_search(rows, n: int):
             order *= sum(1 for v in cell if dsu_find(orbits, v) == r0)
         return False
 
-    dfs([0] * n, True)
+    dfs(root_colors, root_cell, True)
     return best[0], best[1], autos, order
 
 
-def _canonical_rows_autos(n: int, rows) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _canonical_rows_autos(n: int, rows, root=None) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical rows plus the automorphisms the search found, in canonical labels.
 
     They generate the canonical image's automorphism group. An automorphism
     ``s`` of the input becomes ``t`` with ``t[perm[v]] = perm[s[v]]``, so no
-    second search runs.
+    second search runs. ``root`` is as for ``_canonical_search``.
     """
-    cert, perm, autos, _ = _canonical_search(rows, n)
+    cert, perm, autos, _ = _canonical_search(rows, n, root)
     gens = []
     for s in autos:
         t = [0] * n

@@ -5,15 +5,22 @@ its neighbourhood) at a time, deduplicating each level by canonical form
 from the refinement-based labeller. Neighbourhoods in one orbit of the
 automorphisms the labeller found for the parent give isomorphic children, so
 one per orbit is canonicalised (McKay's isomorph rejection). Before that
-search, a child is kept only when no non-cut vertex has a lower degree than
-its new vertex (McKay's canonical deletion, as a cheap necessary test). No
-class is lost: a connected H on k + 1 vertices has a non-cut vertex; take v,
-one of minimum degree. H - v is connected, with at most e - (n - k) edges, so
-level k holds it. The orbit representative that yields H maps the new vertex
-onto an image of v, and "non-cut vertex of minimum degree" does not depend on
-the labelling, so that child passes. The last level takes every
-neighbourhood size that keeps the edge count within e, so a walk towards
-(n, e) fills every class (n, m <= e).
+search, a child is kept only when its new vertex lies in the first cell of
+its root partition (the uniform colouring refined to equitability, as the
+labeller's search starts) that holds a non-cut vertex (McKay's canonical
+deletion, as a cheap necessary test). Cells are ordered by degree first, so
+that cell holds the non-cut vertices of minimum degree: a child with a
+non-cut vertex of lower degree than its new vertex fails a degree test
+before it is refined. No class is lost: a connected H on k + 1 vertices has
+a non-cut vertex; take v, one in the first root cell that holds one. H - v
+is connected, with at most e - (n - k) edges, so level k holds it. The orbit
+representative that yields H maps the new vertex onto an image of v, and
+refinement commutes with relabelling, so the ordered root partition, and
+with it "non-cut vertex in the first root cell that holds one", does not
+depend on the labelling: that child passes. The search starts from the
+refined root it is handed. The last level takes every neighbourhood size
+that keeps the edge count within e, so a walk towards (n, e) fills every
+class (n, m <= e).
 
 The tests hold this walk against Read's orderly edge walk (``tests/orderly.py``),
 which shares no isomorphism machinery with it, on every pin and every
@@ -37,7 +44,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .canon import _canonical_rows_autos, canonical_g6
+from .canon import _canonical_rows_autos, _refine, canonical_g6
 from .errors import CacheMissError, CorruptCacheError, Graph6ParseError, ScaleError
 from .graph6 import encode_rows, graph6_decode
 from .graphs import Graph, bit_indices, reach
@@ -109,6 +116,26 @@ def _last_is_min_non_cut(rows) -> bool:
     return True
 
 
+def _last_is_first_non_cut(rows, colors) -> bool:
+    """True iff no non-cut vertex lies in an earlier cell of ``colors`` than the last vertex.
+
+    ``colors`` is the refined root colouring of ``rows``; its cells are
+    ordered by degree first. The walk asks only after
+    :func:`_last_is_min_non_cut` has shown every vertex of lower degree to
+    be a cut vertex, so only a vertex of equal degree needs the
+    reachability test.
+    """
+    k = len(rows) - 1
+    d, ck = rows[k].bit_count(), colors[k]
+    full = (1 << len(rows)) - 1
+    for u in range(k):
+        if colors[u] < ck and rows[u].bit_count() == d:
+            rest = full & ~(1 << u)
+            if reach(rows, 1 << k, rest) == rest:
+                return False
+    return True
+
+
 def _vertex_levels(n: int, e: int):
     """Each level of vertex augmentation towards (n, e), from one vertex up.
 
@@ -117,8 +144,8 @@ def _vertex_levels(n: int, e: int):
     labelling. Neighbourhood subsets in one orbit of that
     group give isomorphic children, so only one per orbit is canonicalised
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998),
-    and only if it passes the canonical-deletion filter; the level dict
-    still does the deduplication.
+    and only if it passes the canonical-deletion filter, whose refined root
+    the search starts from; the level dict still does the deduplication.
     """
     level: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {(0,): (0, ())}
     yield level
@@ -127,6 +154,7 @@ def _vertex_levels(n: int, e: int):
         remaining_after = n - k - 1
         for adj in sorted(level):
             m, gens = level[adj]
+            adj_nbrs = [bit_indices(row) for row in adj]
             images = [[1 << g[v] for v in range(k)] for g in gens]
             for size in range(1, min(k, e - m - remaining_after) + 1):
                 seen: set[int] = set()
@@ -154,7 +182,14 @@ def _vertex_levels(n: int, e: int):
                     rows.append(mask)
                     if not _last_is_min_non_cut(rows):
                         continue
-                    child, child_gens = _canonical_rows_autos(k + 1, rows)
+                    nbrs = [
+                        nb + [k] if mask >> v & 1 else nb for v, nb in enumerate(adj_nbrs)
+                    ]
+                    nbrs.append(list(subset))
+                    root = nbrs, *_refine(nbrs, k + 1, [0] * (k + 1))
+                    if not _last_is_first_non_cut(rows, root[1]):
+                        continue
+                    child, child_gens = _canonical_rows_autos(k + 1, rows, root)
                     if child not in nxt:
                         # the last level is never augmented: keep no generators
                         nxt[child] = (m + size, child_gens if remaining_after else ())

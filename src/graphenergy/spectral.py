@@ -2,7 +2,7 @@
 
 ``char_polys`` and ``spectra`` take graphs of any orders, run one stacked pass
 per chunk of at most ``_CHUNK`` graphs of one order and answer in input order;
-``char_poly`` and ``eigenvalues`` are batches of one. The census path,
+``char_poly`` and ``energy`` are batches of one. The census path,
 ``census_energies(n, strings)``, decodes graph6 strings of one order straight
 into each chunk's float64 stack and keeps only energies and polynomials; it and
 ``spectra`` share one solve, ``_solve``, with every gate of the eigensolve.
@@ -31,7 +31,8 @@ rounding is monotone and 2^53 is a float64, so a computed product reaches 2^53
 whenever the true one does. Only accepted rows are cast to int64. Orders
 n <= 9 sit far inside; K45 and every K_{a,b} up to order 62 pass, K46 fails.
 
-A row failing the certificate goes alone through the recurrence modulo the
+The float64 steps stop once every row of the chunk has failed the
+certificate. A row failing it goes alone through the recurrence modulo the
 fixed primes p < 2^44 of ``_PRIMES``, all of them at once on a float64
 ``(P, n, n)`` stack of residues, and rebuilds each coefficient by the Chinese
 remainder theorem. The primes exceed n, so division by k is multiplication by
@@ -210,6 +211,8 @@ def _stacked_char_polys(a: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarra
         traces[:, k] = m.reshape(size, n * n)[:, :: n + 1].sum(axis=1)
         coeffs[:, k] = -traces[:, k] / k
         peak = np.maximum(peak, np.abs(m).max(axis=(1, 2)) + np.abs(coeffs[:, k]))
+        if n * peak.min() >= _FLOAT_EXACT:
+            break  # every row has failed the certificate: the steps left are wasted
     exact = n * peak < _FLOAT_EXACT
     # an inexact division is reported even if the steps after it went wrong
     if np.fmod(traces[exact, 2:], np.arange(2, n + 1)).any():
@@ -284,13 +287,9 @@ def census_energies(n: int, strings: Sequence[str]) -> Iterator[tuple[float, tup
         yield from zip(np.abs(w).sum(axis=1).tolist(), polys)
 
 
-def eigenvalues(g: Graph) -> Spectrum:
-    """All n real adjacency eigenvalues, descending; energy = sum |lambda_i|."""
-    return spectra([g])[0]
-
-
 def energy(g: Graph) -> float:
-    return eigenvalues(g).energy
+    """sum |lambda_i| over the adjacency eigenvalues of one graph."""
+    return spectra([g])[0].energy
 
 
 def closed_form_charpoly(n: int, e: int) -> tuple[int, ...]:

@@ -30,10 +30,10 @@ from .graphs import (
 from .spectral import (
     b_coeffs,
     census_energies,
-    char_poly,
+    char_polys,
     closed_form_charpoly,
-    energy,
     energy_coulsons,
+    spectra,
 )
 from .canon import canonical_g6
 
@@ -172,117 +172,134 @@ def _theorem_check(ctx: CheckContext, excess: int) -> list[dict]:
     return evidence
 
 
-def _ineq(evidence: list, label: str, n: int, lhs_name: str, lhs: float,
-          rel: str, rhs_name: str, rhs: float):
+def _ineq(label: str, n: int, lhs_name: str, lhs: float, rel: str, rhs_name: str,
+          rhs: float) -> dict:
     ok = lhs < rhs - INEQUALITY_MARGIN if rel == "<" else lhs > rhs + INEQUALITY_MARGIN
-    evidence.append(
-        {
-            "item": label,
-            "n": n,
-            "lhs": f"{lhs_name}={lhs:.10f}",
-            "rel": rel,
-            "rhs": f"{rhs_name}={rhs:.10f}",
-            "margin": abs(rhs - lhs),
-            "ok": ok,
-        }
-    )
+    return {
+        "item": label,
+        "n": n,
+        "lhs": f"{lhs_name}={lhs:.10f}",
+        "rel": rel,
+        "rhs": f"{rhs_name}={rhs:.10f}",
+        "margin": abs(rhs - lhs),
+        "ok": ok,
+    }
 
 
 def default_inequality_range() -> list[int]:
     return list(range(6, 21)) + [25, 30, 35, 40]
 
 
-def check_family_inequalities(ctx: CheckContext) -> list[dict]:
-    """Numeric verification of the pairwise family-energy inequalities."""
-    ev: list[dict] = []
-    # the items share most of their graphs: one eigensolve per distinct graph
-    energy_of = functools.cache(energy)
+# fixed reference energies, five decimals
+REFERENCE_ENERGIES = (
+    ("K 4", 6.0),
+    ("S 4 4", 4.96239),
+    ("B 7 9", 7.21110),
+    ("S 7 7", 6.64681),
+    ("B 8 10", 7.91375),
+    ("S 8 8", 7.07326),
+    ("B 9 11", 8.46834),
+    ("S 9 9", 7.46410),
+    ("S 5 7", 6.0),
+    ("S 5 5", 5.62721),
+)
 
-    # fixed reference energies, five decimals
-    for fam, want in [
-        ("K 4", 6.0),
-        ("S 4 4", 4.96239),
-        ("B 7 9", 7.21110),
-        ("S 7 7", 6.64681),
-        ("B 8 10", 7.91375),
-        ("S 8 8", 7.07326),
-        ("B 9 11", 8.46834),
-        ("S 9 9", 7.46410),
-        ("S 5 7", 6.0),
-        ("S 5 5", 5.62721),
-    ]:
-        got = energy_of(family_graph(fam))
-        ev.append(
-            {
-                "item": "reference-energies",
-                "family": fam,
-                "expected": want,
-                "actual": got,
-                "ok": abs(got - want) < 1e-5,
-            }
-        )
 
+def _inequality_items() -> list[tuple]:
+    """(item, n, lhs name, lhs, rel, rhs name, rhs) of every family inequality.
+
+    A side is a graph, standing for its energy, or a number.
+    """
+    items = []
     for n in default_inequality_range():
         # star-versus-bipartite regimes at e = n+1, n+2, n+3; the e = n+3 rows are
         # the paper's tetracyclic crossover at n = 12 (B below S up to n = 11)
         for e in (n + 1, n + 2, n + 3):
             if e > 2 * (n - 2):
                 continue
-            es, eb = energy_of(make_s_graph(n, e)), energy_of(make_b_graph(n, e))
+            star = f"E(S({n},{e}))", make_s_graph(n, e)
+            bip = f"E(B({n},{e}))", make_b_graph(n, e)
             if e <= 1.5 * n - 3:
-                _ineq(ev, "star-vs-bipartite", n, f"E(S({n},{e}))", es, "<", f"E(B({n},{e}))", eb)
+                items.append(("star-vs-bipartite", n, *star, "<", *bip))
             elif e >= 1.5 * n - 2.5:
-                _ineq(ev, "star-vs-bipartite", n, f"E(B({n},{e}))", eb, "<", f"E(S({n},{e}))", es)
+                items.append(("star-vs-bipartite", n, *bip, "<", *star))
 
-        u3 = energy_of(disjoint_union(make_s_graph(n - 3, n - 3), make_cycle(3)))
-        _ineq(ev, "triangle-union-vs-bicyclic", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
-              f"E(S({n},{n + 1}))", energy_of(make_s_graph(n, n + 1)))
-        _ineq(ev, "bicyclic-vs-unicyclic", n, f"E(S({n},{n + 1}))",
-              energy_of(make_s_graph(n, n + 1)), ">",
-              f"E(S({n},{n}))", energy_of(make_s_graph(n, n)))
-        _ineq(ev, "triangle-union-vs-tricyclic", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
-              f"E(S({n},{n + 2}))", energy_of(make_s_graph(n, n + 2)))
-        _ineq(ev, "tricyclic-vs-unicyclic", n, f"E(S({n},{n + 2}))",
-              energy_of(make_s_graph(n, n + 2)), ">",
-              f"E(S({n},{n}))", energy_of(make_s_graph(n, n)))
+        u3 = disjoint_union(make_s_graph(n - 3, n - 3), make_cycle(3))
+        s0, s1, s2 = make_s_graph(n, n), make_s_graph(n, n + 1), make_s_graph(n, n + 2)
+        items += [
+            ("triangle-union-vs-bicyclic", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
+             f"E(S({n},{n + 1}))", s1),
+            ("bicyclic-vs-unicyclic", n, f"E(S({n},{n + 1}))", s1, ">", f"E(S({n},{n}))", s0),
+            ("triangle-union-vs-tricyclic", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
+             f"E(S({n},{n + 2}))", s2),
+            ("tricyclic-vs-unicyclic", n, f"E(S({n},{n + 2}))", s2, ">", f"E(S({n},{n}))", s0),
+        ]
 
         # quadrilateral union sits strictly below the triangle union
         if n >= 7:
-            u4 = energy_of(disjoint_union(make_cycle(4), make_s_graph(n - 4, n - 4)))
-            _ineq(ev, "quadrilateral-union-vs-triangle-union", n,
-                  f"E(C4+S({n - 4},{n - 4}))", u4, "<", f"E(S({n - 3},{n - 3})+C3)", u3)
+            u4 = disjoint_union(make_cycle(4), make_s_graph(n - 4, n - 4))
+            items.append(("quadrilateral-union-vs-triangle-union", n,
+                          f"E(C4+S({n - 4},{n - 4}))", u4, "<", f"E(S({n - 3},{n - 3})+C3)", u3))
 
         # triangle union versus tetracyclic star family
-        et = energy_of(make_s_graph(n, n + 3))
+        et = make_s_graph(n, n + 3)
         if n <= 14:
-            _ineq(ev, "triangle-union-vs-tetracyclic", n,
-                  f"E(S({n - 3},{n - 3})+C3)", u3, ">", f"E(S({n},{n + 3}))", et)
+            items.append(("triangle-union-vs-tetracyclic", n,
+                          f"E(S({n - 3},{n - 3})+C3)", u3, ">", f"E(S({n},{n + 3}))", et))
         else:
             upper = 4 + math.sqrt(n - 1) + math.sqrt(n + 3)
             lower = 4 + math.sqrt(2) + 2 * math.sqrt(n - 4)
-            _ineq(ev, "tetracyclic-star-upper-bound", n, f"E(S({n},{n + 3}))", et, "<",
-                  "4+sqrt(n-1)+sqrt(n+3)", upper)
-            _ineq(ev, "triangle-union-lower-bound", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
-                  "4+sqrt(2)+2*sqrt(n-4)", lower)
-            _ineq(ev, "bound-chain", n, "upper", upper, "<", "lower", lower)
+            items += [
+                ("tetracyclic-star-upper-bound", n, f"E(S({n},{n + 3}))", et, "<",
+                 "4+sqrt(n-1)+sqrt(n+3)", upper),
+                ("triangle-union-lower-bound", n, f"E(S({n - 3},{n - 3})+C3)", u3, ">",
+                 "4+sqrt(2)+2*sqrt(n-4)", lower),
+                ("bound-chain", n, "upper", upper, "<", "lower", lower),
+            ]
 
     # tricyclic-bipartite family against the unicyclic star family, 7..9
     for n in (7, 8, 9):
-        _ineq(ev, "tricyclic-bipartite-vs-unicyclic", n, f"E(B({n},{n + 2}))",
-              energy_of(make_b_graph(n, n + 2)), ">",
-              f"E(S({n},{n}))", energy_of(make_s_graph(n, n)))
-    _ineq(ev, "tricyclic-bipartite-vs-unicyclic", 4, "E(K4)", 6.0, ">",
-          "E(S(4,4))", energy_of(make_s_graph(4, 4)))
+        items.append(("tricyclic-bipartite-vs-unicyclic", n, f"E(B({n},{n + 2}))",
+                      make_b_graph(n, n + 2), ">", f"E(S({n},{n}))", make_s_graph(n, n)))
+    items.append(("tricyclic-bipartite-vs-unicyclic", 4, "E(K4)", 6.0, ">",
+                  "E(S(4,4))", make_s_graph(4, 4)))
+    return items
+
+
+def check_family_inequalities(ctx: CheckContext) -> list[dict]:
+    """Numeric verification of the pairwise family-energy inequalities."""
+    references = [family_graph(fam) for fam, _ in REFERENCE_ENERGIES]
+    items = _inequality_items()
+    # the items share most of their graphs: one solve over the distinct ones
+    graphs = list(dict.fromkeys(
+        references + [x for item in items for x in (item[3], item[6]) if isinstance(x, Graph)]
+    ))
+    energy_of = dict(zip(graphs, [s.energy for s in spectra(graphs)]))
+    ev = [
+        {
+            "item": "reference-energies",
+            "family": fam,
+            "expected": want,
+            "actual": energy_of[g],
+            "ok": abs(energy_of[g] - want) < 1e-5,
+        }
+        for (fam, want), g in zip(REFERENCE_ENERGIES, references)
+    ]
+    for label, n, lhs_name, lhs, rel, rhs_name, rhs in items:
+        lhs, rhs = (energy_of[x] if isinstance(x, Graph) else x for x in (lhs, rhs))
+        ev.append(_ineq(label, n, lhs_name, lhs, rel, rhs_name, rhs))
     return ev
 
 
 def check_closed_forms(ctx: CheckContext) -> list[dict]:
     """Exact agreement of computed polynomials with the reference closed forms, 6 <= n <= 12."""
+    keys = [(n, n + e_off) for n in range(6, 13) for e_off in (0, 2, 3)]
+    polys = dict(zip(keys, char_polys([make_s_graph(n, e) for n, e in keys])))
     ev = []
     for n in range(6, 13):
         for e_off in (0, 2, 3):
             e = n + e_off
-            got = char_poly(make_s_graph(n, e))
+            got = polys[n, e]
             want = closed_form_charpoly(n, e)
             ev.append(
                 {
@@ -293,7 +310,7 @@ def check_closed_forms(ctx: CheckContext) -> list[dict]:
                     "ok": got == want,
                 }
             )
-        b4 = b_coeffs(char_poly(make_s_graph(n, n + 3)))[4]
+        b4 = b_coeffs(polys[n, n + 3])[4]
         ev.append(
             {
                 "item": "b4-correction",
@@ -315,13 +332,15 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def check_edge_cut_lemma(ctx: CheckContext) -> list[dict]:
-    """Energy never increases when an edge cut is deleted; seeded trials."""
+    """Energy never increases when an edge cut is deleted; seeded trials.
+
+    No draw reads an energy, so every trial is drawn first and one solve
+    gives the energies of all of them.
+    """
     rng = random.Random(ctx.seed)
-    ev = []
-    violations = 0
+    trials = []  # (graph, cut, a non-cut edge to delete or None)
     non_cut_logged = 0
-    done = 0
-    while done < ctx.trials:
+    while len(trials) < ctx.trials:
         n = rng.randint(3, 10)
         g = _random_graph(rng, n, rng.uniform(0.25, 0.8))
         if g.e == 0:
@@ -337,16 +356,32 @@ def check_edge_cut_lemma(ctx: CheckContext) -> list[dict]:
             continue
         if not is_edge_cut(g, cut):
             raise RuntimeError("internal: crossing edge set failed the cut predicate")
-        before, after = energy(g), energy(delete_edges(g, cut))
+        # non-cut deletions may move energy either way; log the first few
+        sub = None
+        if non_cut_logged < 3 and g.e > len(cut):
+            others = [ed for ed in g.edges() if ed not in cut]
+            sub = rng.sample(others, 1)
+            if is_edge_cut(g, sub):
+                sub = None
+            else:
+                non_cut_logged += 1
+        trials.append((g, cut, sub))
+    graphs = []
+    for g, cut, sub in trials:
+        graphs += [g, delete_edges(g, cut)] + ([delete_edges(g, sub)] if sub else [])
+    energies = iter([s.energy for s in spectra(graphs)])
+    ev = []
+    violations = 0
+    for done, (g, cut, sub) in enumerate(trials, 1):
+        before, after = next(energies), next(energies)
         ok = after <= before + 1e-9
         if not ok:
             violations += 1
-        done += 1
         if not ok or done <= 5:
             ev.append(
                 {
                     "item": "edge-cut-monotonicity",
-                    "n": n,
+                    "n": g.n,
                     "edges": g.e,
                     "cut_size": len(cut),
                     "energy_before": before,
@@ -354,28 +389,23 @@ def check_edge_cut_lemma(ctx: CheckContext) -> list[dict]:
                     "ok": ok,
                 }
             )
-        # non-cut deletions may move energy either way; log the first few
-        if non_cut_logged < 3 and g.e > len(cut):
-            others = [ed for ed in g.edges() if ed not in cut]
-            sub = rng.sample(others, 1)
-            if not is_edge_cut(g, sub):
-                ev.append(
-                    {
-                        "item": "non-cut-deletion (informational)",
-                        "n": n,
-                        "energy_before": before,
-                        "energy_after": energy(delete_edges(g, sub)),
-                        "ok": True,
-                    }
-                )
-                non_cut_logged += 1
+        if sub:
+            ev.append(
+                {
+                    "item": "non-cut-deletion (informational)",
+                    "n": g.n,
+                    "energy_before": before,
+                    "energy_after": next(energies),
+                    "ok": True,
+                }
+            )
     ev.append(
         {
             "item": "summary",
             "trials": ctx.trials,
             "violations": violations,
             "seed": ctx.seed,
-            "ok": violations == 0 and done > 0,
+            "ok": violations == 0 and bool(trials),
         }
     )
     return ev

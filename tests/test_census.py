@@ -24,6 +24,7 @@ from graphenergy import (
     graph6_decode,
     graph6_encode,
 )
+from graphenergy import canon
 from graphenergy import census as census_module
 from graphenergy.cli import main
 from graphenergy.census import (
@@ -37,6 +38,7 @@ from graphenergy.graphs import bit_indices, relabel_rows
 
 import orderly
 from orderly import _generate_orderly, _is_max_code, edge_census
+from test_canon import reference_refine
 from test_graphs import adjacency_matrix
 
 KNOWN = {
@@ -250,8 +252,8 @@ def test_planted_non_automorphism_loses_classes(monkeypatch):
     # isomorphic, and the census loses members
     real = census_module._canonical_rows_autos
 
-    def planted(n, rows):
-        cert, gens = real(n, rows)
+    def planted(n, rows, root):
+        cert, gens = real(n, rows, root)
         swap = (1, 0, *range(2, n))
         return cert, gens + (swap,)
 
@@ -269,18 +271,19 @@ def test_planted_non_automorphism_loses_classes(monkeypatch):
 
 def test_deletion_filter_cuts_the_canonical_searches(monkeypatch):
     # orbit pruning alone canonicalises 53,107 children on the walk towards
-    # (9,12), which fills every (9, m <= 12); the canonical-deletion filter
-    # leaves 16,978 of them
+    # (9,12), which fills every (9, m <= 12); the degree test of the
+    # canonical-deletion filter leaves 16,978 of them and its root-cell test
+    # 9,770, for 9,761 classes
     real = census_module._canonical_rows_autos
     calls = []
 
-    def counted(n, rows):
+    def counted(n, rows, root):
         calls.append(n)
-        return real(n, rows)
+        return real(n, rows, root)
 
     monkeypatch.setattr(census_module, "_canonical_rows_autos", counted)
     strings = _generate_vertex_aug(9, 12)[9, 12]
-    assert len(calls) == 16_978
+    assert len(calls) == 9_770
     assert (len(strings), census_digest(sorted(strings))) == PINNED_CENSUSES[(9, 12)]
 
 
@@ -301,6 +304,28 @@ def test_planted_filter_that_rejects_ties_loses_classes(monkeypatch):
         return True
 
     monkeypatch.setattr(census_module, "_last_is_min_non_cut", planted)
+    strings = _generate_vertex_aug(7, 10)[7, 10]
+    assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
+
+
+def test_planted_cell_filter_that_rejects_its_own_cell_loses_classes(monkeypatch):
+    # the root-cell test may reject a child only for a non-cut vertex in a
+    # strictly earlier cell: rejecting one in the new vertex's own cell too
+    # drops every class whose first qualifying cell holds two non-cut
+    # vertices, and the census loses members (all 132 of (7,10))
+    reach = census_module.reach
+
+    def planted(rows, colors):
+        k = len(rows) - 1
+        full = (1 << len(rows)) - 1
+        for u in range(k):
+            if colors[u] <= colors[k] and rows[u].bit_count() == rows[k].bit_count():
+                rest = full & ~(1 << u)
+                if reach(rows, 1 << k, rest) == rest:
+                    return False
+        return True
+
+    monkeypatch.setattr(census_module, "_last_is_first_non_cut", planted)
     strings = _generate_vertex_aug(7, 10)[7, 10]
     assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
 
@@ -333,9 +358,12 @@ _TWO_K4_ON_A_CUT_VERTEX = [
 @settings(max_examples=200, deadline=None)
 def test_deletion_filter_keeps_every_min_degree_non_cut_vertex(rows):
     # the soundness lemma, apart from the walk and with no canonical search:
-    # with v relabelled last, a non-cut v passes the filter exactly when no
-    # other non-cut vertex has lower degree, and some non-cut v passes.
-    # networkx's articulation points stand in for the filter's reachability.
+    # with v relabelled last, a non-cut v passes the degree test exactly when
+    # no other non-cut vertex has lower degree, and both tests exactly when v
+    # lies in the first cell of the root partition that holds a non-cut
+    # vertex; some non-cut v passes. networkx's articulation points stand in
+    # for the filter's reachability and the tuple-sort reference refinement
+    # for the root partition, which it computes on the unrelabelled graph.
     nx = pytest.importorskip("networkx")
     n = len(rows)
     h = nx.Graph()
@@ -344,13 +372,20 @@ def test_deletion_filter_keeps_every_min_degree_non_cut_vertex(rows):
     non_cut = set(range(n)) - set(nx.articulation_points(h))
     low = min(rows[v].bit_count() for v in non_cut)
     nbrs = [bit_indices(r) for r in rows]
-    kept = set()
+    cells = reference_refine(nbrs, n, [0] * n)
+    first = min(cells[v] for v in non_cut)
+    by_degree, kept = set(), set()
     for v in range(n):
         perm = [w - (w > v) for w in range(n)]
         perm[v] = n - 1
-        if census_module._last_is_min_non_cut(relabel_rows(nbrs, perm)):
-            kept.add(v)
-    assert kept & non_cut == {v for v in non_cut if rows[v].bit_count() == low}
+        image = relabel_rows(nbrs, perm)
+        if census_module._last_is_min_non_cut(image):
+            by_degree.add(v)
+            colors, _ = canon._refine([bit_indices(r) for r in image], n, [0] * n)
+            if census_module._last_is_first_non_cut(image, colors):
+                kept.add(v)
+    assert by_degree & non_cut == {v for v in non_cut if rows[v].bit_count() == low}
+    assert kept & non_cut == {v for v in non_cut if cells[v] == first}
     assert kept & non_cut
 
 

@@ -18,7 +18,6 @@ from graphenergy import (
     char_polys,
     closed_form_charpoly,
     disjoint_union,
-    eigenvalues,
     energy,
     energy_coulsons,
     family_graph,
@@ -211,7 +210,7 @@ class TestBatchedCharPoly:
         assert sorted(fallback_calls) == [46, 62]
         got_spectra = spectra(graphs)
         assert got_polys == [char_poly(g) for g in graphs]
-        assert got_spectra == [eigenvalues(g) for g in graphs]
+        assert got_spectra == [spectra([g])[0] for g in graphs]
         assert [s.charpoly for s in got_spectra] == got_polys
         assert char_polys([]) == [] and spectra([]) == []
 
@@ -337,24 +336,24 @@ class TestBCoeffs:
 
 class TestSpectrum:
     def test_triangle(self):
-        s = eigenvalues(make_cycle(3))
+        s = spectra([make_cycle(3)])[0]
         assert s.eigenvalues == pytest.approx((2, -1, -1), abs=1e-9)
         assert s.energy == pytest.approx(4.0, abs=1e-9)
 
     def test_k2(self):
-        s = eigenvalues(Graph.from_edges(2, [(0, 1)]))
+        s = spectra([Graph.from_edges(2, [(0, 1)])])[0]
         assert s.eigenvalues == pytest.approx((1, -1), abs=1e-9)
         assert s.energy == pytest.approx(2.0, abs=1e-9)
 
     def test_s88_reference(self):
-        assert eigenvalues(make_s_graph(8, 8)).energy == pytest.approx(
+        assert spectra([make_s_graph(8, 8)])[0].energy == pytest.approx(
             7.07326, abs=1e-5
         )
 
     @given(graph_strategy(min_n=2, max_n=9))
     @settings(max_examples=60, deadline=None)
     def test_trace_identities_and_residual(self, g):
-        s = eigenvalues(g)
+        s = spectra([g])[0]
         assert list(s.eigenvalues) == sorted(s.eigenvalues, reverse=True)
         assert abs(sum(s.eigenvalues)) <= 1e-9 * g.n
         assert abs(sum(x * x for x in s.eigenvalues) - 2 * g.e) <= 1e-8 * max(g.e, 1)
@@ -364,7 +363,7 @@ class TestSpectrum:
     def test_wrong_polynomial_is_rejected(self, monkeypatch):
         g = make_cycle(6)
         good = char_poly(g)
-        assert eigenvalues(g).charpoly == good
+        assert spectra([g])[0].charpoly == good
         off_by_one = good[:-1] + (good[-1] + 1,)
         for wrong in (char_poly(make_s_graph(6, 6)), off_by_one):
             monkeypatch.setattr(
@@ -372,17 +371,17 @@ class TestSpectrum:
                 lambda a: ([wrong] * len(a), np.array([wrong] * len(a), dtype=np.float64)),
             )
             with pytest.raises(GraphEnergyError):
-                eigenvalues(g)
+                spectra([g])
 
     def test_stacked_spectra_equal_single_graph_spectra(self):
         graphs = [graph6_decode(s) for s in enumerate_connected(7, 10).graphs]
         batch = spectra(graphs)
-        assert batch == [eigenvalues(g) for g in graphs]
+        assert batch == [spectra([g])[0] for g in graphs]
 
     def test_bipartite_symmetry_and_coefficients(self):
         for g in [make_b_graph(8, 10), make_b_graph(9, 12), make_cycle(6)]:
             assert is_bipartite(g)
-            s = eigenvalues(g)
+            s = spectra([g])[0]
             for i in range(g.n):
                 assert s.eigenvalues[i] == pytest.approx(
                     -s.eigenvalues[g.n - 1 - i], abs=1e-9

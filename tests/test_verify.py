@@ -9,14 +9,15 @@ from graphenergy import (
     canonical_label,
     char_poly,
     delete_edges,
-    eigenvalues,
     energy,
     family_graph,
     graph6_decode,
     make_wheel,
     rank_class,
+    spectra,
 )
 import graphenergy.census as census_mod
+import graphenergy.spectral as spectral_mod
 import graphenergy.verify as verify_mod
 from graphenergy.census import PINNED, enumerate_connected
 from graphenergy.cli import render_json, render_text
@@ -62,7 +63,7 @@ class TestRankClass:
     def test_order_matches_independent_recomputation(self):
         report = rank_class(5, 6)
         redone = sorted(
-            ((eigenvalues(graph6_decode(e.graph6)).energy, e.graph6) for e in report.entries),
+            ((spectra([graph6_decode(e.graph6)])[0].energy, e.graph6) for e in report.entries),
         )
         assert [s for _, s in redone] == [e.graph6 for e in report.entries]
 
@@ -197,6 +198,27 @@ class TestChecks:
         [a] = run_checks(["edge-cut"], CheckContext(seed=3, trials=40))
         [b] = run_checks(["edge-cut"], CheckContext(seed=3, trials=40))
         assert a.evidence == b.evidence
+
+    @pytest.mark.parametrize("name", ["edge-cut", "family-inequalities"])
+    def test_energy_checks_solve_once_per_order_chunk(self, monkeypatch, name):
+        # a check's energies come from one spectra call: one stacked solve per
+        # chunk of one order, not one per graph
+        real = spectral_mod._solve
+        shapes = []
+
+        def counted(a):
+            shapes.append(a.shape[:2])
+            return real(a)
+
+        monkeypatch.setattr(spectral_mod, "_solve", counted)
+        [result] = run_checks([name], CheckContext(seed=5, trials=500))
+        assert result.passed
+        graphs: dict[int, int] = {}
+        for k, n in shapes:
+            graphs[n] = graphs.get(n, 0) + k
+        chunk = spectral_mod._CHUNK
+        assert len(shapes) == sum(-(-k // chunk) for k in graphs.values())
+        assert sum(graphs.values()) > 3 * len(shapes)
 
     def test_deleting_every_edge_never_raises_energy(self):
         # the whole edge set is an edge cut; the remainder has energy zero
