@@ -22,6 +22,27 @@ refined root it is handed. The last level takes every neighbourhood size
 that keeps the edge count within e, so a walk towards (n, e) fills every
 class (n, m <= e).
 
+Three exact facts decide most children from degrees, before they are built
+or refined; none changes which children reach the search.
+
+* Leaf rule. Let u be a leaf of a parent on k >= 2 vertices and s >= 2 the
+  new vertex's degree. Outside the neighbourhood u keeps degree 1; inside
+  it has degree 2, and the parent less u, connected, holds another
+  neighbour of the new vertex. Either way u is a non-cut vertex of the
+  child of degree below s unless s = 2 and u is inside. So a parent with a
+  leaf takes neighbourhoods of at most two vertices, and one of two holds
+  every leaf; the walk skips the rest before any orbit work. Automorphisms
+  map leaves onto leaves, so the orbit representatives that pass do not
+  change.
+* Degree start. The root is refined from the degree-rank colouring, the
+  uniform start's first refinement round, so ``_refine`` (whose key keeps
+  the tuple-sort refinement's ordered partition from either) returns the
+  same root partition.
+* Round-two pre-test. Refinement only splits cells in place, and its next
+  round orders a degree cell by sorted neighbour colours. A non-cut vertex
+  of the new vertex's degree with a smaller list already lies in an
+  earlier root cell, so the child is dropped before ``_refine``.
+
 The tests hold this walk against Read's orderly edge walk (``tests/orderly.py``),
 which shares no isomorphism machinery with it, on every pin and every
 non-empty class with n <= 9, and match every class with n <= 7 one-to-one
@@ -99,6 +120,12 @@ class GraphClassCensus:
         return [graph6_decode(s) for s in self.graphs]
 
 
+def _is_non_cut(rows, u: int) -> bool:
+    """True iff deleting ``u``, not the last vertex, leaves the graph of ``rows`` connected."""
+    rest = (1 << len(rows)) - 1 & ~(1 << u)
+    return reach(rows, 1 << len(rows) - 1, rest) == rest
+
+
 def _last_is_min_non_cut(rows) -> bool:
     """True iff no non-cut vertex has a lower degree than the last vertex.
 
@@ -107,33 +134,62 @@ def _last_is_min_non_cut(rows) -> bool:
     """
     k = len(rows) - 1
     d = rows[k].bit_count()
-    full = (1 << len(rows)) - 1
     for u in range(k):
-        if rows[u].bit_count() < d:
-            rest = full & ~(1 << u)
-            if reach(rows, 1 << k, rest) == rest:
-                return False
+        if rows[u].bit_count() < d and _is_non_cut(rows, u):
+            return False
     return True
 
 
-def _last_is_first_non_cut(rows, colors) -> bool:
-    """True iff no non-cut vertex lies in an earlier cell of ``colors`` than the last vertex.
+def _root_if_first_non_cut(rows, nbrs):
+    """The refined root ``(nbrs, colors, cell)`` of ``rows``, or None when a
+    non-cut vertex lies in an earlier root cell than the last vertex.
 
-    ``colors`` is the refined root colouring of ``rows``; its cells are
-    ordered by degree first. The walk asks only after
-    :func:`_last_is_min_non_cut` has shown every vertex of lower degree to
-    be a cut vertex, so only a vertex of equal degree needs the
-    reachability test.
+    The root starts from the degree-rank colouring (the module docstring's
+    degree start). The walk asks only after :func:`_last_is_min_non_cut` has
+    shown every vertex of lower degree to be a cut vertex, so only a vertex
+    of equal degree needs the reachability test: before ``_refine`` one whose
+    sorted neighbour colours are smaller than the last vertex's (the
+    round-two pre-test), after it one whose list is equal; a larger list
+    ends in a later cell.
     """
     k = len(rows) - 1
-    d, ck = rows[k].bit_count(), colors[k]
-    full = (1 << len(rows)) - 1
+    degrees = [len(nb) for nb in nbrs]
+    rank = {d: c for c, d in enumerate(sorted(set(degrees)))}
+    colors = [rank[d] for d in degrees]
+    color = colors.__getitem__
+    d, own = degrees[k], sorted(map(color, nbrs[k]))
+    ties = []
     for u in range(k):
-        if colors[u] < ck and rows[u].bit_count() == d:
-            rest = full & ~(1 << u)
-            if reach(rows, 1 << k, rest) == rest:
-                return False
-    return True
+        if degrees[u] == d:
+            theirs = sorted(map(color, nbrs[u]))
+            if theirs < own:
+                if _is_non_cut(rows, u):
+                    return None
+            elif theirs == own:
+                ties.append(u)
+    colors, cell = _refine(nbrs, k + 1, colors)
+    if any(colors[u] < colors[k] and _is_non_cut(rows, u) for u in ties):
+        return None
+    return nbrs, colors, cell
+
+
+def _neighbourhoods(adj, top: int):
+    """Each neighbourhood of 1..``top`` vertices of ``adj`` the leaf rule keeps, as (subset, mask).
+
+    A parent with a leaf takes at most two vertices, and two only with every
+    leaf among them (see the module docstring).
+    """
+    leaves = 0
+    for v, row in enumerate(adj):
+        if row.bit_count() == 1:
+            leaves |= 1 << v
+    for size in range(1, (min(top, 2) if leaves else top) + 1):
+        for subset in itertools.combinations(range(len(adj)), size):
+            mask = 0
+            for u in subset:
+                mask |= 1 << u
+            if size == 1 or not leaves & ~mask:
+                yield subset, mask
 
 
 def _vertex_levels(n: int, e: int):
@@ -144,8 +200,9 @@ def _vertex_levels(n: int, e: int):
     labelling. Neighbourhood subsets in one orbit of that
     group give isomorphic children, so only one per orbit is canonicalised
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998),
-    and only if it passes the canonical-deletion filter, whose refined root
-    the search starts from; the level dict still does the deduplication.
+    and only if it passes the leaf rule and the canonical-deletion filter,
+    whose refined root the search starts from; the level dict still does the
+    deduplication.
     """
     level: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {(0,): (0, ())}
     yield level
@@ -156,43 +213,39 @@ def _vertex_levels(n: int, e: int):
             m, gens = level[adj]
             adj_nbrs = [bit_indices(row) for row in adj]
             images = [[1 << g[v] for v in range(k)] for g in gens]
-            for size in range(1, min(k, e - m - remaining_after) + 1):
-                seen: set[int] = set()
-                for subset in itertools.combinations(range(k), size):
-                    mask = 0
-                    for u in subset:
-                        mask |= 1 << u
-                    if mask in seen:
-                        continue
-                    seen.add(mask)
-                    orbit = [mask]
-                    for x in orbit:
-                        bits = bit_indices(x)
-                        for img in images:
-                            y = 0
-                            for v in bits:
-                                y |= img[v]
-                            if y not in seen:
-                                seen.add(y)
-                                orbit.append(y)
-                    rows = [
-                        row | (1 << k) if mask >> v & 1 else row
-                        for v, row in enumerate(adj)
-                    ]
-                    rows.append(mask)
-                    if not _last_is_min_non_cut(rows):
-                        continue
-                    nbrs = [
-                        nb + [k] if mask >> v & 1 else nb for v, nb in enumerate(adj_nbrs)
-                    ]
-                    nbrs.append(list(subset))
-                    root = nbrs, *_refine(nbrs, k + 1, [0] * (k + 1))
-                    if not _last_is_first_non_cut(rows, root[1]):
-                        continue
-                    child, child_gens = _canonical_rows_autos(k + 1, rows, root)
-                    if child not in nxt:
-                        # the last level is never augmented: keep no generators
-                        nxt[child] = (m + size, child_gens if remaining_after else ())
+            seen: set[int] = set()
+            for subset, mask in _neighbourhoods(adj, min(k, e - m - remaining_after)):
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                orbit = [mask]
+                for x in orbit:
+                    bits = bit_indices(x)
+                    for img in images:
+                        y = 0
+                        for v in bits:
+                            y |= img[v]
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
+                rows = [
+                    row | (1 << k) if mask >> v & 1 else row
+                    for v, row in enumerate(adj)
+                ]
+                rows.append(mask)
+                if not _last_is_min_non_cut(rows):
+                    continue
+                nbrs = [
+                    nb + [k] if mask >> v & 1 else nb for v, nb in enumerate(adj_nbrs)
+                ]
+                nbrs.append(list(subset))
+                root = _root_if_first_non_cut(rows, nbrs)
+                if root is None:
+                    continue
+                child, child_gens = _canonical_rows_autos(k + 1, rows, root)
+                if child not in nxt:
+                    # the last level is never augmented: keep no generators
+                    nxt[child] = (m + len(subset), child_gens if remaining_after else ())
         level = nxt
         yield level
 

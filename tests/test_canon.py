@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -21,7 +22,8 @@ from graphenergy import (
     make_star,
 )
 from graphenergy import canon
-from graphenergy.census import PINNED, enumerate_connected
+from graphenergy import census as census_module
+from graphenergy.census import PINNED, _generate_vertex_aug, census_digest, enumerate_connected
 
 from test_graphs import adjacency_matrix, graph_strategy
 
@@ -200,16 +202,18 @@ def reference_refine(nbrs, n, colors):
         colors = [rank[s] for s in sigs]
 
 
-def _check_every_refine(monkeypatch) -> list:
-    """Route ``canon._refine`` through the reference; return the colourings it gets.
+def _check_every_refine(monkeypatch) -> dict:
+    """Route ``_refine`` through the reference; return the colourings each module hands it.
 
+    Both ``canon``'s search and ``census``'s root-cell test, which imports
+    ``_refine`` by name, are routed; the result maps each module to its list.
     Each colouring handed over must meet the integer key's contract: colours
     0..k-1, and either one colour or cells whose vertices share a degree.
     """
     real = canon._refine
-    given = []
+    given = {canon: [], census_module: []}
 
-    def checked(nbrs, n, colors):
+    def checked(nbrs, n, colors, seen):
         before = list(colors)
         cell_degrees: dict[int, set[int]] = {}
         for v, c in enumerate(before):
@@ -222,10 +226,11 @@ def _check_every_refine(monkeypatch) -> list:
         sizes = Counter(want)
         first = min((c for c in sizes if sizes[c] > 1), default=None)
         assert cell == (None if first is None else [v for v, c in enumerate(want) if c == first])
-        given.append(before)
+        seen.append(before)
         return got, cell
 
-    monkeypatch.setattr(canon, "_refine", checked)
+    for module, seen in given.items():
+        monkeypatch.setattr(module, "_refine", functools.partial(checked, seen=seen))
     return given
 
 
@@ -237,7 +242,19 @@ def test_refine_matches_reference_on_pinned_classes(monkeypatch):
         for s in strings:
             h = graph6_decode(s).relabeled(_random_perm(rng, n))
             assert canonical_label(h) == s
-    assert len(given) > sum(len(strings) for strings in members.values())
+    assert len(given[canon]) > sum(len(strings) for strings in members.values())
+
+
+def test_refine_matches_reference_on_the_vertex_walk(monkeypatch):
+    # the walk refines each child's root from its degree-rank colouring, not
+    # the uniform one; the checker sees those calls and the searches' own
+    given = _check_every_refine(monkeypatch)
+    strings = _generate_vertex_aug(7, 10)[7, 10]
+    assert (len(strings), census_digest(sorted(strings))) == PINNED[7, 10]
+    roots = given[census_module]
+    assert len(roots) >= len(strings)
+    assert any(len(set(colors)) > 1 for colors in roots)
+    assert given[canon]
 
 
 def _carry_graph(n):
@@ -268,11 +285,11 @@ def test_refine_matches_reference_at_packing_widths(monkeypatch, n):
         assert canonical_label(g) == canonical_label(h)
     for g in (make_complete(n), make_complete_bipartite(n // 3, n - n // 3), _carry_graph(n)):
         assert canonical_label(g.relabeled(_random_perm(rng, n))) == canonical_label(g)
-    assert len(given) > 2 * (n - 2)
+    assert len(given[canon]) > 2 * (n - 2)
 
 
 def test_refine_matches_reference_under_aut_order(monkeypatch):
     given = _check_every_refine(monkeypatch)
     for g, order in GROUP_CASES:
         assert aut_order(g) == order
-    assert given
+    assert given[canon]

@@ -270,20 +270,29 @@ def test_planted_non_automorphism_loses_classes(monkeypatch):
 
 
 def test_deletion_filter_cuts_the_canonical_searches(monkeypatch):
-    # orbit pruning alone canonicalises 53,107 children on the walk towards
-    # (9,12), which fills every (9, m <= 12); the degree test of the
-    # canonical-deletion filter leaves 16,978 of them and its root-cell test
-    # 9,770, for 9,761 classes
-    real = census_module._canonical_rows_autos
-    calls = []
+    # on the walk towards (9,12), which fills every (9, m <= 12), orbit
+    # pruning alone leaves 53,107 children, and without the leaf rule each
+    # reaches the degree test of the canonical-deletion filter; the rule
+    # sends 17,452 of them there, 16,978 pass, the round-two pre-test leaves
+    # 10,876 root refinements and the root-cell test 9,770 canonical
+    # searches, for 9,761 classes
+    calls = {"_last_is_min_non_cut": 0, "_refine": 0, "_canonical_rows_autos": 0}
 
-    def counted(n, rows, root):
-        calls.append(n)
-        return real(n, rows, root)
+    def counted(name):
+        real = getattr(census_module, name)
 
-    monkeypatch.setattr(census_module, "_canonical_rows_autos", counted)
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(census_module, name, counted(name))
     strings = _generate_vertex_aug(9, 12)[9, 12]
-    assert len(calls) == 9_770
+    assert calls == {
+        "_last_is_min_non_cut": 17_452, "_refine": 10_876, "_canonical_rows_autos": 9_770
+    }
     assert (len(strings), census_digest(sorted(strings))) == PINNED_CENSUSES[(9, 12)]
 
 
@@ -313,19 +322,79 @@ def test_planted_cell_filter_that_rejects_its_own_cell_loses_classes(monkeypatch
     # strictly earlier cell: rejecting one in the new vertex's own cell too
     # drops every class whose first qualifying cell holds two non-cut
     # vertices, and the census loses members (all 132 of (7,10))
-    reach = census_module.reach
+    real = census_module._root_if_first_non_cut
 
-    def planted(rows, colors):
-        k = len(rows) - 1
-        full = (1 << len(rows)) - 1
+    def planted(rows, nbrs):
+        root = real(rows, nbrs)
+        if root is None:
+            return None
+        colors, k = root[1], len(rows) - 1
         for u in range(k):
-            if colors[u] <= colors[k] and rows[u].bit_count() == rows[k].bit_count():
-                rest = full & ~(1 << u)
-                if reach(rows, 1 << k, rest) == rest:
-                    return False
-        return True
+            if colors[u] <= colors[k] and len(nbrs[u]) == len(nbrs[k]):
+                if census_module._is_non_cut(rows, u):
+                    return None
+        return root
 
-    monkeypatch.setattr(census_module, "_last_is_first_non_cut", planted)
+    monkeypatch.setattr(census_module, "_root_if_first_non_cut", planted)
+    strings = _generate_vertex_aug(7, 10)[7, 10]
+    assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
+
+
+def test_planted_round_two_pre_test_that_rejects_ties_loses_classes(monkeypatch):
+    # before refinement the root-cell test may reject a child only for a
+    # non-cut vertex whose sorted neighbour degree ranks are strictly
+    # smaller than the new vertex's: an equal list can still refine into a
+    # later cell, and rejecting it too (`<=`) loses every member of (7,10)
+    real = census_module._root_if_first_non_cut
+
+    def planted(rows, nbrs):
+        k = len(rows) - 1
+        ranks = {d: c for c, d in enumerate(sorted({len(nb) for nb in nbrs}))}
+
+        def sig(v):
+            return len(nbrs[v]), sorted(ranks[len(nbrs[w])] for w in nbrs[v])
+
+        for u in range(k):
+            if sig(u) == sig(k) and census_module._is_non_cut(rows, u):
+                return None
+        return real(rows, nbrs)
+
+    monkeypatch.setattr(census_module, "_root_if_first_non_cut", planted)
+    strings = _generate_vertex_aug(7, 10)[7, 10]
+    assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
+
+
+def test_leaf_rule_drops_only_children_the_degree_test_rejects():
+    # every parent of the walk towards (7,10), every neighbourhood: a child
+    # the leaf rule drops has a non-cut vertex of lower degree than its new
+    # vertex, and the rule drops some at every order from 3 up
+    dropped_at = set()
+    for level in list(_vertex_levels(7, 10))[:-1]:
+        for adj in level:
+            k = len(adj)
+            kept = {mask for _, mask in census_module._neighbourhoods(adj, k)}
+            for mask in range(1, 1 << k):
+                if mask in kept:
+                    continue
+                dropped_at.add(k)
+                rows = [row | (1 << k) if mask >> v & 1 else row for v, row in enumerate(adj)]
+                rows.append(mask)
+                assert not census_module._last_is_min_non_cut(rows), (adj, mask)
+    assert dropped_at == {3, 4, 5, 6}
+
+
+def test_planted_leaf_rule_on_size_one_children_loses_classes(monkeypatch):
+    # the leaf rule holds only for a new vertex of degree 2 or more: a
+    # pendant vertex hung on a non-leaf leaves every old leaf of degree 1,
+    # not lower than its own, and requiring it to cover the leaves too
+    # loses 21 of the 132 members of (7,10)
+    real = census_module._neighbourhoods
+
+    def planted(adj, top):
+        leaves = sum(1 << v for v, row in enumerate(adj) if row.bit_count() == 1)
+        return ((subset, mask) for subset, mask in real(adj, top) if not leaves & ~mask)
+
+    monkeypatch.setattr(census_module, "_neighbourhoods", planted)
     strings = _generate_vertex_aug(7, 10)[7, 10]
     assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
 
@@ -381,9 +450,12 @@ def test_deletion_filter_keeps_every_min_degree_non_cut_vertex(rows):
         image = relabel_rows(nbrs, perm)
         if census_module._last_is_min_non_cut(image):
             by_degree.add(v)
-            colors, _ = canon._refine([bit_indices(r) for r in image], n, [0] * n)
-            if census_module._last_is_first_non_cut(image, colors):
+            image_nbrs = [bit_indices(r) for r in image]
+            root = census_module._root_if_first_non_cut(image, image_nbrs)
+            if root is not None:
                 kept.add(v)
+                # the degree-rank start refines to the uniform start's partition
+                assert root[1:] == canon._refine(image_nbrs, n, [0] * n)
     assert by_degree & non_cut == {v for v in non_cut if rows[v].bit_count() == low}
     assert kept & non_cut == {v for v in non_cut if cells[v] == first}
     assert kept & non_cut
