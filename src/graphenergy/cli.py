@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 
 from .census import census_cache_store, get_census
 from .classify import ClassKind, classify, is_bipartite
@@ -153,6 +154,51 @@ def _graph_report(label: str, g: Graph, spec: Spectrum, coulson: CoulsonEnergy) 
     return row
 
 
+def _json_nonfinite(text: str) -> str:
+    """Float reprs with ``nan`` and ``inf`` spelled as JSON spells them."""
+    # only a non-finite float's repr ('nan', 'inf', '-inf') holds an 'n'
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at depth ``indent``.
+
+    Takes what a report holds: strings, None, bools, ints, floats, and lists
+    whose items are all lists, all floats or all ints. A whole list of numbers
+    is one ``join`` of ``int.__repr__`` or ``float.__repr__``, JSON's own
+    number spellings, instead of one encoder step per item.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_nonfinite(float.__repr__(value))
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value[0], list):
+        body = sep.join(_json_value(item, inner) for item in value)
+    elif isinstance(value[0], float):
+        body = _json_nonfinite(sep.join(map(float.__repr__, value)))
+    else:
+        body = sep.join(map(int.__repr__, value))
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _report_json(row: dict) -> str:
+    """One report as ``json.dumps(reports, indent=2)`` writes it as an item of the list."""
+    return "  {\n    " + ",\n    ".join(
+        f"{encode_basestring_ascii(key)}: {_json_value(value, '    ')}"
+        for key, value in row.items()
+    ) + "\n  }"
+
+
 def _parse_graph_line(line: str) -> Graph:
     # Family syntax is tried first. No line parses as both: family terms need
     # a digit and graph6 data bytes never contain one (all data chars >= '?').
@@ -216,7 +262,14 @@ def _cmd_energy(args) -> int:
         )
     ]
     if args.format == "json":
-        print(json.dumps(reports, indent=2))
+        # the bytes of print(json.dumps(reports, indent=2)), written a report
+        # at a time and only once every report is built, so a failed run
+        # writes nothing
+        sep = "[\n"
+        for r in reports:
+            sys.stdout.write(sep + _report_json(r))
+            sep = ",\n"
+        print("\n]" if reports else "[]")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(

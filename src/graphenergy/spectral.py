@@ -494,7 +494,8 @@ def energy_coulsons(polys: Sequence[tuple[int, ...]], *, tol: float = 1e-7) -> l
         lambda item: len(item[1]),
     )
     for r in results:
-        if r.error_bound > tol:
+        # a NaN bound fails too
+        if not r.error_bound <= tol:
             raise QuadratureAccuracyError(
                 f"requested tolerance {tol:.1e} not reached (bound {r.error_bound:.1e} "
                 f"after {r.evaluations} evaluations)",

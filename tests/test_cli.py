@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 import graphenergy
 from graphenergy import Graph, char_poly, family_graph, graph6_decode, graph6_encode, spectra
 from graphenergy.census import PINNED, census_digest
-from graphenergy.cli import main
+from graphenergy.cli import _report_json, main
 import graphenergy.verify as verify_mod
 
 
@@ -179,6 +180,17 @@ class TestEnergy:
         a, b = payload["class_witness"]
         assert len(a) == len(b) == 3
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_accuracy_failure_writes_nothing_to_stdout(self, capsys, fmt):
+        # every report is built before the first byte goes out, so the S 7 7
+        # report ahead of the failing K62 is not written either
+        code, out, err = run(
+            capsys, "--format", fmt, "--quad-tol", "1e-300",
+            "energy", "--family", "S 7 7", "--family", "K 62",
+        )
+        assert (code, out) == (1, "")
+        assert "accuracy failure" in err
+
     def test_quad_tol_override(self, capsys):
         code, out, _ = run(
             capsys,
@@ -220,6 +232,36 @@ def test_energy_json_report_is_byte_stable(capsys, tmp_path):
     code, out, _ = run(capsys, "--format", "json", "energy", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256
+
+
+@pytest.mark.parametrize(
+    "lines, count",
+    [
+        (GOLDEN_LINES, len(GOLDEN_LINES)),
+        (["C3 + C3"], 1),  # a class2 witness: a list of lists
+        (["EC\\o"], 1),  # a backslash the string escape must double
+        (["K1"], 1),
+        (["# comments and blank lines only", "", "#"], 0),  # the report is []
+    ],
+    ids=["golden", "class2-witness", "backslash", "K1", "no-graphs"],
+)
+def test_energy_json_report_round_trips(capsys, tmp_path, lines, count):
+    # json.dumps is the oracle: the report's renderer shares no code with it
+    path = tmp_path / "in.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run(capsys, "--format", "json", "energy", str(path))
+    assert code == 0
+    assert len(json.loads(out)) == count
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_report_renderer_spells_non_finite_floats_as_json_does(capsys):
+    # energy_coulsons refuses a NaN bound, yet every float keeps json.dumps's spelling
+    _, out, _ = run(capsys, "--format", "json", "energy", "--family", "C3 + C3")
+    row = json.loads(out)[0]
+    row.update(energy=math.nan, energy_coulson=math.inf, coulson_error_bound=-math.inf)
+    row["eigenvalues"][1:4] = [math.nan, math.inf, -math.inf]
+    assert _report_json(row) == json.dumps([row], indent=2)[2:-2]
 
 
 class TestEnumerate:

@@ -414,6 +414,13 @@ class TestCoulson:
         assert err.value.estimate == pytest.approx(6.0, abs=1e-2)
         assert err.value.error_bound > 0
 
+    def test_a_nan_bound_fails_closed(self, monkeypatch):
+        # NaN > tol is false, so a NaN bound must still count as a miss
+        monkeypatch.setattr(spectral_mod, "_log_s", lambda u, s: np.full_like(u, np.nan))
+        with pytest.raises(QuadratureAccuracyError) as err:
+            energy_coulsons([char_poly(make_complete(4))])
+        assert math.isnan(err.value.error_bound)
+
     def test_evaluation_counts_are_pinned(self):
         # an integral that ends with c panels evaluated the first one and c - 1
         # splits into two halves, at 15 nodes each: 15 * (2c - 1)
