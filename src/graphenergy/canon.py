@@ -150,7 +150,7 @@ def _canonical_search(rows, n: int, root=None):
     return best[0], best[1], autos, order
 
 
-def _canonical_rows_autos(n: int, rows, root=None) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _canonical_rows_autos(n: int, rows, root) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical rows plus the automorphisms the search found, in canonical labels.
 
     They generate the canonical image's automorphism group. An automorphism

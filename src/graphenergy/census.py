@@ -7,20 +7,20 @@ automorphisms the labeller found for the parent give isomorphic children, so
 one per orbit is canonicalised (McKay's isomorph rejection). Before that
 search, a child is kept only when its new vertex lies in the first cell of
 its root partition (the uniform colouring refined to equitability, as the
-labeller's search starts) that holds a non-cut vertex (McKay's canonical
-deletion, as a cheap necessary test). Cells are ordered by degree first, so
-that cell holds the non-cut vertices of minimum degree: a child with a
-non-cut vertex of lower degree than its new vertex fails a degree test
-before it is refined. No class is lost: a connected H on k + 1 vertices has
-a non-cut vertex; take v, one in the first root cell that holds one. H - v
-is connected, with at most e - (n - k) edges, so level k holds it. The orbit
-representative that yields H maps the new vertex onto an image of v, and
-refinement commutes with relabelling, so the ordered root partition, and
-with it "non-cut vertex in the first root cell that holds one", does not
-depend on the labelling: that child passes. The search starts from the
-refined root it is handed. The last level takes every neighbourhood size
-that keeps the edge count within e, so a walk towards (n, e) fills every
-class (n, m <= e).
+labeller's search starts) that holds a non-cut vertex: McKay's canonical
+deletion, the walk's one cheap necessary test. Cells are ordered by degree
+first, so a non-cut vertex of lower degree than the new vertex rejects the
+child before it is refined: the test's first shortcut, and the round-two
+pre-test below its second. No class is lost: a connected H on k + 1
+vertices has a non-cut vertex; take v, one in the first root cell that
+holds one. H - v is connected, with at most e - (n - k) edges, so level k
+holds it. The orbit representative that yields H maps the new vertex onto
+an image of v, and refinement commutes with relabelling, so the ordered
+root partition, and with it "non-cut vertex in the first root cell that
+holds one", does not depend on the labelling: that child passes. The search
+starts from the refined root it is handed. The last level takes every
+neighbourhood size that keeps the edge count within e, so a walk towards
+(n, e) fills every class (n, m <= e).
 
 Three exact facts decide most children from degrees, before they are built
 or refined; none changes which children reach the search.
@@ -29,11 +29,11 @@ or refined; none changes which children reach the search.
   new vertex's degree. Outside the neighbourhood u keeps degree 1; inside
   it has degree 2, and the parent less u, connected, holds another
   neighbour of the new vertex. Either way u is a non-cut vertex of the
-  child of degree below s unless s = 2 and u is inside. So a parent with a
-  leaf takes neighbourhoods of at most two vertices, and one of two holds
-  every leaf; the walk skips the rest before any orbit work. Automorphisms
-  map leaves onto leaves, so the orbit representatives that pass do not
-  change.
+  child of degree below s, which the first shortcut rejects, unless s = 2
+  and u is inside. So a parent with a leaf takes neighbourhoods of at most
+  two vertices, and one of two holds every leaf; the walk skips the rest
+  before any orbit work. Automorphisms map leaves onto leaves, so the
+  orbit representatives that pass do not change.
 * Degree start. The root is refined from the degree-rank colouring, the
   uniform start's first refinement round, so ``_refine`` (whose key keeps
   the tuple-sort refinement's ordered partition from either) returns the
@@ -126,31 +126,17 @@ def _is_non_cut(rows, u: int) -> bool:
     return reach(rows, 1 << len(rows) - 1, rest) == rest
 
 
-def _last_is_min_non_cut(rows) -> bool:
-    """True iff no non-cut vertex has a lower degree than the last vertex.
-
-    The vertex walk's canonical-deletion filter (see the module docstring):
-    only a vertex of lower degree needs the reachability test.
-    """
-    k = len(rows) - 1
-    d = rows[k].bit_count()
-    for u in range(k):
-        if rows[u].bit_count() < d and _is_non_cut(rows, u):
-            return False
-    return True
-
-
 def _root_if_first_non_cut(rows, nbrs):
     """The refined root ``(nbrs, colors, cell)`` of ``rows``, or None when a
     non-cut vertex lies in an earlier root cell than the last vertex.
 
-    The root starts from the degree-rank colouring (the module docstring's
-    degree start). The walk asks only after :func:`_last_is_min_non_cut` has
-    shown every vertex of lower degree to be a cut vertex, so only a vertex
-    of equal degree needs the reachability test: before ``_refine`` one whose
-    sorted neighbour colours are smaller than the last vertex's (the
-    round-two pre-test), after it one whose list is equal; a larger list
-    ends in a later cell.
+    The walk's one canonical-deletion test. The root starts from the
+    degree-rank colouring (the module docstring's degree start), and cells
+    are ordered by degree, so before ``_refine`` only an older vertex of
+    lower degree than the last one, or of its degree with smaller sorted
+    neighbour colours (the round-two pre-test), needs the reachability test;
+    after it, one of its degree whose list is equal. A larger list ends in a
+    later cell.
     """
     k = len(rows) - 1
     degrees = [len(nb) for nb in nbrs]
@@ -160,6 +146,8 @@ def _root_if_first_non_cut(rows, nbrs):
     d, own = degrees[k], sorted(map(color, nbrs[k]))
     ties = []
     for u in range(k):
+        if degrees[u] < d and _is_non_cut(rows, u):
+            return None
         if degrees[u] == d:
             theirs = sorted(map(color, nbrs[u]))
             if theirs < own:
@@ -200,9 +188,9 @@ def _vertex_levels(n: int, e: int):
     labelling. Neighbourhood subsets in one orbit of that
     group give isomorphic children, so only one per orbit is canonicalised
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998),
-    and only if it passes the leaf rule and the canonical-deletion filter,
-    whose refined root the search starts from; the level dict still does the
-    deduplication.
+    and only if it passes the leaf rule and the one canonical-deletion test,
+    ``_root_if_first_non_cut``, whose refined root the search starts from;
+    the level dict still does the deduplication.
     """
     level: dict[tuple[int, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {(0,): (0, ())}
     yield level
@@ -233,8 +221,6 @@ def _vertex_levels(n: int, e: int):
                     for v, row in enumerate(adj)
                 ]
                 rows.append(mask)
-                if not _last_is_min_non_cut(rows):
-                    continue
                 nbrs = [
                     nb + [k] if mask >> v & 1 else nb for v, nb in enumerate(adj_nbrs)
                 ]

@@ -272,11 +272,11 @@ def test_planted_non_automorphism_loses_classes(monkeypatch):
 def test_deletion_filter_cuts_the_canonical_searches(monkeypatch):
     # on the walk towards (9,12), which fills every (9, m <= 12), orbit
     # pruning alone leaves 53,107 children, and without the leaf rule each
-    # reaches the degree test of the canonical-deletion filter; the rule
-    # sends 17,452 of them there, 16,978 pass, the round-two pre-test leaves
-    # 10,876 root refinements and the root-cell test 9,770 canonical
+    # reaches the root-cell test, the one canonical-deletion test; the rule
+    # sends 17,452 of them there, its lower-degree branch and round-two
+    # pre-test leave 10,876 root refinements and the test 9,770 canonical
     # searches, for 9,761 classes
-    calls = {"_last_is_min_non_cut": 0, "_refine": 0, "_canonical_rows_autos": 0}
+    calls = {"_root_if_first_non_cut": 0, "_refine": 0, "_canonical_rows_autos": 0}
 
     def counted(name):
         real = getattr(census_module, name)
@@ -291,28 +291,26 @@ def test_deletion_filter_cuts_the_canonical_searches(monkeypatch):
         monkeypatch.setattr(census_module, name, counted(name))
     strings = _generate_vertex_aug(9, 12)[9, 12]
     assert calls == {
-        "_last_is_min_non_cut": 17_452, "_refine": 10_876, "_canonical_rows_autos": 9_770
+        "_root_if_first_non_cut": 17_452, "_refine": 10_876, "_canonical_rows_autos": 9_770
     }
     assert (len(strings), census_digest(sorted(strings))) == PINNED_CENSUSES[(9, 12)]
 
 
 def test_planted_filter_that_rejects_ties_loses_classes(monkeypatch):
-    # the filter may reject a child only for a non-cut vertex of strictly
-    # lower degree: rejecting ties too drops the new vertex whenever an
-    # older one matches it, and the census loses members (all 132 of (7,10))
-    reach = census_module.reach
+    # the root-cell test may reject a child unrefined for a non-cut vertex
+    # of strictly lower degree only: rejecting ties too drops the new vertex
+    # whenever an older one matches it, and the census loses members (all
+    # 132 of (7,10))
+    real = census_module._root_if_first_non_cut
 
-    def planted(rows):
+    def planted(rows, nbrs):
         k = len(rows) - 1
-        full = (1 << len(rows)) - 1
         for u in range(k):
-            if rows[u].bit_count() <= rows[k].bit_count():
-                rest = full & ~(1 << u)
-                if reach(rows, 1 << k, rest) == rest:
-                    return False
-        return True
+            if len(nbrs[u]) <= len(nbrs[k]) and census_module._is_non_cut(rows, u):
+                return None
+        return real(rows, nbrs)
 
-    monkeypatch.setattr(census_module, "_last_is_min_non_cut", planted)
+    monkeypatch.setattr(census_module, "_root_if_first_non_cut", planted)
     strings = _generate_vertex_aug(7, 10)[7, 10]
     assert len(strings) < PINNED_CENSUSES[(7, 10)][0]
 
@@ -367,7 +365,15 @@ def test_planted_round_two_pre_test_that_rejects_ties_loses_classes(monkeypatch)
 def test_leaf_rule_drops_only_children_the_degree_test_rejects():
     # every parent of the walk towards (7,10), every neighbourhood: a child
     # the leaf rule drops has a non-cut vertex of lower degree than its new
-    # vertex, and the rule drops some at every order from 3 up
+    # vertex, so the root-cell test rejects it too, and the rule drops some
+    # at every order from 3 up
+    def has_lower_non_cut(rows):
+        k = len(rows) - 1
+        return any(
+            rows[u].bit_count() < rows[k].bit_count() and census_module._is_non_cut(rows, u)
+            for u in range(k)
+        )
+
     dropped_at = set()
     for level in list(_vertex_levels(7, 10))[:-1]:
         for adj in level:
@@ -379,7 +385,9 @@ def test_leaf_rule_drops_only_children_the_degree_test_rejects():
                 dropped_at.add(k)
                 rows = [row | (1 << k) if mask >> v & 1 else row for v, row in enumerate(adj)]
                 rows.append(mask)
-                assert not census_module._last_is_min_non_cut(rows), (adj, mask)
+                assert has_lower_non_cut(rows), (adj, mask)
+                nbrs = [bit_indices(row) for row in rows]
+                assert census_module._root_if_first_non_cut(rows, nbrs) is None, (adj, mask)
     assert dropped_at == {3, 4, 5, 6}
 
 
@@ -427,12 +435,12 @@ _TWO_K4_ON_A_CUT_VERTEX = [
 @settings(max_examples=200, deadline=None)
 def test_deletion_filter_keeps_every_min_degree_non_cut_vertex(rows):
     # the soundness lemma, apart from the walk and with no canonical search:
-    # with v relabelled last, a non-cut v passes the degree test exactly when
-    # no other non-cut vertex has lower degree, and both tests exactly when v
-    # lies in the first cell of the root partition that holds a non-cut
-    # vertex; some non-cut v passes. networkx's articulation points stand in
-    # for the filter's reachability and the tuple-sort reference refinement
-    # for the root partition, which it computes on the unrelabelled graph.
+    # with v relabelled last, a non-cut v passes the root-cell test exactly
+    # when it lies in the first cell of the root partition that holds a
+    # non-cut vertex, and so has the minimum non-cut degree; some non-cut v
+    # passes. networkx's articulation points stand in for the test's
+    # reachability and the tuple-sort reference refinement for the root
+    # partition, which it computes on the unrelabelled graph.
     nx = pytest.importorskip("networkx")
     n = len(rows)
     h = nx.Graph()
@@ -443,20 +451,18 @@ def test_deletion_filter_keeps_every_min_degree_non_cut_vertex(rows):
     nbrs = [bit_indices(r) for r in rows]
     cells = reference_refine(nbrs, n, [0] * n)
     first = min(cells[v] for v in non_cut)
-    by_degree, kept = set(), set()
+    kept = set()
     for v in range(n):
         perm = [w - (w > v) for w in range(n)]
         perm[v] = n - 1
         image = relabel_rows(nbrs, perm)
-        if census_module._last_is_min_non_cut(image):
-            by_degree.add(v)
-            image_nbrs = [bit_indices(r) for r in image]
-            root = census_module._root_if_first_non_cut(image, image_nbrs)
-            if root is not None:
-                kept.add(v)
-                # the degree-rank start refines to the uniform start's partition
-                assert root[1:] == canon._refine(image_nbrs, n, [0] * n)
-    assert by_degree & non_cut == {v for v in non_cut if rows[v].bit_count() == low}
+        image_nbrs = [bit_indices(r) for r in image]
+        root = census_module._root_if_first_non_cut(image, image_nbrs)
+        if root is not None:
+            kept.add(v)
+            # the degree-rank start refines to the uniform start's partition
+            assert root[1:] == canon._refine(image_nbrs, n, [0] * n)
+    assert all(rows[v].bit_count() == low for v in kept & non_cut)
     assert kept & non_cut == {v for v in non_cut if cells[v] == first}
     assert kept & non_cut
 

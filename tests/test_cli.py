@@ -275,6 +275,14 @@ class TestEnumerate:
         assert code == 0
         assert out.strip() == "2"
 
+    def test_json_and_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "enumerate", "5", "8")
+        assert code == 0
+        assert out == '{\n  "n": 5,\n  "e": 8,\n  "count": 2,\n  "out": null\n}\n'
+        code, out, _ = run(capsys, "--format", "csv", "enumerate", "5", "8")
+        assert code == 0
+        assert out == "n,e,count\n5,8,2\n"
+
     def test_envelope_error_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "11", "20")
         assert code == 2
